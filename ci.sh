@@ -13,6 +13,15 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo test -q"
 cargo test -q
 
+echo "==> doc links (a link to a renamed or deleted item is an error)"
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --workspace --no-deps
+
+echo "==> serve stack in release with overflow checks (catches release-only wraparounds)"
+# A separate target dir keeps the differently-flagged build from evicting
+# the regular release artifacts the later steps run.
+RUSTFLAGS="-C overflow-checks=on" CARGO_TARGET_DIR=target/overflow-checks \
+  cargo test --release -q --test serve_stack
+
 echo "==> chaos suite (fault injection + property tests)"
 cargo test -q -p spikefolio --test fault_injection
 

@@ -6,7 +6,9 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use rand::SeedableRng;
 use spikefolio::experiments::{rate_penalty_ablation, RunOptions};
 use spikefolio_snn::network::{SdpNetwork, SdpNetworkConfig};
-use spikefolio_snn::stbp;
+use spikefolio_snn::{stbp, BatchNetworkTrace, BatchWorkspace};
+use spikefolio_telemetry::NoopRecorder;
+use spikefolio_tensor::Matrix;
 
 fn options() -> RunOptions {
     let mut opts = RunOptions::smoke();
@@ -42,19 +44,27 @@ fn bench_penalized_backward(c: &mut Criterion) {
 
     let mut rng = rand::rngs::StdRng::seed_from_u64(17);
     let net = SdpNetwork::new(SdpNetworkConfig::small(16, 12), &mut rng);
-    let state: Vec<f64> = (0..16).map(|i| 0.9 + 0.02 * i as f64).collect();
-    let (_, trace) = net.forward(&state, &mut rng);
-    let d_action = vec![1.0 / 12.0; 12];
+    let state = Matrix::from_fn(1, 16, |_, i| 0.9 + 0.02 * i as f64);
+    let mut ws = BatchWorkspace::new(&net, 1);
+    let mut trace = BatchNetworkTrace::new(&net, 1);
+    net.forward_batch(&state, &mut [&mut rng], &mut ws, &mut trace, &mut NoopRecorder);
+    let d_action = Matrix::filled(1, 12, 1.0 / 12.0);
 
     let mut group = c.benchmark_group("ablation/rate_penalty_backward");
-    group.bench_function("plain", |b| {
-        b.iter(|| std::hint::black_box(stbp::backward(&net, &trace, &d_action)))
-    });
-    group.bench_function("penalized", |b| {
-        b.iter(|| {
-            std::hint::black_box(stbp::backward_with_rate_penalty(&net, &trace, &d_action, 1.0))
-        })
-    });
+    for (name, lambda) in [("plain", 0.0), ("penalized", 1.0)] {
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                std::hint::black_box(stbp::backward_batch(
+                    &net,
+                    &trace,
+                    &d_action,
+                    lambda,
+                    &mut ws,
+                    &mut NoopRecorder,
+                ))
+            })
+        });
+    }
     group.finish();
 }
 

@@ -11,7 +11,9 @@ use spikefolio::training::Trainer;
 use spikefolio_market::experiments::ExperimentPreset;
 use spikefolio_snn::network::{SdpNetwork, SdpNetworkConfig};
 use spikefolio_snn::neuron::SpikeFn;
-use spikefolio_snn::{stbp, Surrogate};
+use spikefolio_snn::{stbp, BatchNetworkTrace, BatchWorkspace, Surrogate};
+use spikefolio_telemetry::NoopRecorder;
+use spikefolio_tensor::Matrix;
 
 fn surrogates() -> Vec<(&'static str, Surrogate)> {
     vec![
@@ -47,11 +49,22 @@ fn bench_backward_per_surrogate(c: &mut Criterion) {
         cfg.spike_fn = SpikeFn::Hard { surrogate: s };
         let mut rng = rand::rngs::StdRng::seed_from_u64(11);
         let net = SdpNetwork::new(cfg, &mut rng);
-        let state: Vec<f64> = (0..16).map(|i| 0.9 + 0.02 * i as f64).collect();
-        let (_, trace) = net.forward(&state, &mut rng);
-        let d_action = vec![1.0 / 12.0; 12];
+        let state = Matrix::from_fn(1, 16, |_, i| 0.9 + 0.02 * i as f64);
+        let mut ws = BatchWorkspace::new(&net, 1);
+        let mut trace = BatchNetworkTrace::new(&net, 1);
+        net.forward_batch(&state, &mut [&mut rng], &mut ws, &mut trace, &mut NoopRecorder);
+        let d_action = Matrix::filled(1, 12, 1.0 / 12.0);
         group.bench_function(name, |b| {
-            b.iter(|| std::hint::black_box(stbp::backward(&net, &trace, &d_action)))
+            b.iter(|| {
+                std::hint::black_box(stbp::backward_batch(
+                    &net,
+                    &trace,
+                    &d_action,
+                    0.0,
+                    &mut ws,
+                    &mut NoopRecorder,
+                ))
+            })
         });
     }
     group.finish();

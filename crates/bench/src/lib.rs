@@ -30,12 +30,6 @@ pub mod bench_support {
         SdpNetwork::new(SdpNetworkConfig::paper(PAPER_STATE_DIM, PAPER_ACTION_DIM), &mut rng)
     }
 
-    /// A small seeded network for smoke-scale comparison rows.
-    pub fn small_network(seed: u64) -> SdpNetwork {
-        let mut rng = StdRng::seed_from_u64(seed);
-        SdpNetwork::new(SdpNetworkConfig::small(16, 4), &mut rng)
-    }
-
     /// The pinned single-sample state fill: smooth values around 1.0,
     /// deterministic in the flat index.
     pub fn pinned_state(dim: usize) -> Vec<f64> {

@@ -9,6 +9,7 @@ fn main() {
     println!("  ablation_timesteps timestep (T) energy/quality sweep");
     println!("  ablation_encoding  deterministic vs probabilistic coding");
     println!("  ablation_surrogate pseudo-gradient shape comparison");
-    println!("  snn_forward        SDP inference kernels (float + chip)");
-    println!("  stbp_backward      STBP backward-pass kernels");
+    println!("  ablation_rate_penalty spike-rate penalty energy/quality dial");
+    println!("  profile_overhead   recorder cost on the forward/backward kernels");
+    println!("Kernel timings (forward/backward at b1/b8/b32) come from `spikefolio bench run`.");
 }

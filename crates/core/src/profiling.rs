@@ -29,7 +29,7 @@ use spikefolio_profile::trace::render_phase_tree;
 use spikefolio_profile::{BenchBaseline, BenchEntry, ChromeTraceRecorder, CostReport};
 use spikefolio_snn::network::SdpNetworkConfig;
 use spikefolio_snn::{stbp, BatchNetworkTrace, BatchWorkspace, SdpNetwork};
-use spikefolio_telemetry::{labels, MemoryRecorder};
+use spikefolio_telemetry::{labels, MemoryRecorder, NoopRecorder};
 use spikefolio_tensor::{gemm, Matrix};
 use std::collections::BTreeMap;
 use std::time::Instant;
@@ -114,7 +114,7 @@ pub fn run_bench_workloads(opts: &WorkloadOptions) -> BenchBaseline {
             // counts) identical.
             let mut rngs = per_sample_rngs(opts.seed, batch);
             let t0 = Instant::now();
-            net.forward_batch(&states, &mut rngs, &mut ws, &mut trace);
+            net.forward_batch(&states, &mut rngs, &mut ws, &mut trace, &mut NoopRecorder);
             wall_fwd = wall_fwd.min(t0.elapsed().as_secs_f64());
         }
         let mut ops = BTreeMap::new();
@@ -143,7 +143,7 @@ pub fn run_bench_workloads(opts: &WorkloadOptions) -> BenchBaseline {
         let mut wall_bwd = f64::INFINITY;
         for _ in 0..reps {
             let t0 = Instant::now();
-            let _ = stbp::backward_batch(&net, &trace, &d_actions, 0.0, &mut ws);
+            let _ = stbp::backward_batch(&net, &trace, &d_actions, 0.0, &mut ws, &mut NoopRecorder);
             wall_bwd = wall_bwd.min(t0.elapsed().as_secs_f64());
         }
         entries.push(BenchEntry {
@@ -241,7 +241,7 @@ pub fn run_profile_workload(opts: &WorkloadOptions) -> ProfileReport {
     let mut ws = BatchWorkspace::new(net, batch);
     let mut trace = BatchNetworkTrace::new(net, batch);
     let mut rngs = per_sample_rngs(opts.seed, batch);
-    net.forward_batch_recorded(&states, &mut rngs, &mut ws, &mut trace, &mut rec);
+    net.forward_batch(&states, &mut rngs, &mut ws, &mut trace, &mut rec);
     let shapes: Vec<(usize, usize)> =
         net.layers.iter().map(|l| (l.in_dim(), l.out_dim())).collect();
     let cost = CostReport::from_workload(

@@ -28,6 +28,7 @@ use spikefolio_serve::{
 };
 use spikefolio_snn::{BatchNetworkTrace, BatchWorkspace, SdpNetwork};
 use spikefolio_telemetry::value::{parse, Value};
+use spikefolio_telemetry::NoopRecorder;
 use spikefolio_tensor::Matrix;
 
 use crate::agent::SdpAgent;
@@ -71,13 +72,10 @@ fn candles_from_flat(flat: &[f64]) -> Result<Vec<Candle>, String> {
         .collect())
 }
 
-/// The float SNN backend: one `forward_batch` per micro-batch, each
-/// sample encoded with its own request-seeded RNG, so served weights are
-/// independent of batch composition.
-///
-/// Inference rides the default event-driven sparse kernel path
-/// ([`spikefolio_snn::kernel_path`]); the bitwise contract means served
-/// actions are identical to the dense reference, just cheaper per spike.
+/// The float SNN backend: one `forward_batch` per micro-batch — a
+/// singleton included — each sample encoded with its own request-seeded
+/// RNG, so served weights are independent of batch composition and equal
+/// [`SdpNetwork::act`] with the same seed.
 #[derive(Debug)]
 pub struct FloatPolicyBackend {
     network: SdpNetwork,
@@ -131,13 +129,6 @@ impl InferenceBackend for FloatPolicyBackend {
             return vec![vec![f64::NAN; self.action_dim()]; batch];
         };
         let mut rngs: Vec<StdRng> = seeds.iter().map(|&s| StdRng::seed_from_u64(s)).collect();
-        if batch == 1 {
-            // Singleton batches take the canonical per-sample path
-            // (bitwise identical by the batch-composition invariance
-            // contract); the batch engine and its recycled workspaces
-            // below only pay for width > 1.
-            return vec![self.network.act(matrix.row(0), &mut rngs[0])];
-        }
         let cached = self.scratch.lock().unwrap_or_else(std::sync::PoisonError::into_inner).take();
         let (mut ws, mut trace) = match cached {
             Some((b, ws, trace)) if b == batch => (ws, trace),
@@ -146,7 +137,7 @@ impl InferenceBackend for FloatPolicyBackend {
                 BatchNetworkTrace::new(&self.network, batch),
             ),
         };
-        self.network.forward_batch(&matrix, &mut rngs, &mut ws, &mut trace);
+        self.network.forward_batch(&matrix, &mut rngs, &mut ws, &mut trace, &mut NoopRecorder);
         let actions = (0..batch).map(|b| trace.action(b).to_vec()).collect();
         *self.rates.lock().unwrap_or_else(std::sync::PoisonError::into_inner) =
             Some(self.network.layer_firing_rates(&trace.layer_spikes, batch as u64));

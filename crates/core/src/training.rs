@@ -246,11 +246,13 @@ fn process_micro_batch(
     // sub-phase spans are captured into a local recorder per micro-batch
     // and folded into the epoch telemetry on the main thread.
     let mut micro_rec = observe.then(MemoryRecorder::new);
+    let mut noop = NoopRecorder;
+    let rec: &mut dyn Recorder = match micro_rec.as_mut() {
+        Some(m) => m,
+        None => &mut noop,
+    };
     let t0 = observe.then(Instant::now);
-    match micro_rec.as_mut() {
-        Some(m) => network.forward_batch_recorded(&states, &mut rngs, ws, trace, m),
-        None => network.forward_batch(&states, &mut rngs, ws, trace),
-    }
+    network.forward_batch(&states, &mut rngs, ws, trace, rec);
     let forward_s = t0.map_or(0.0, |t| t.elapsed().as_secs_f64());
 
     let action_dim = trace.actions.shape().1;
@@ -267,10 +269,7 @@ fn process_micro_batch(
         samples.push((item.t, action, r));
     }
     let t1 = observe.then(Instant::now);
-    let grads = match micro_rec.as_mut() {
-        Some(m) => stbp::backward_batch_recorded(network, trace, &d_actions, rate_penalty, ws, m),
-        None => stbp::backward_batch(network, trace, &d_actions, rate_penalty, ws),
-    };
+    let grads = stbp::backward_batch(network, trace, &d_actions, rate_penalty, ws, rec);
     let telemetry = t1.map(|t| {
         // `observe` implies `micro_rec` above; an empty fallback keeps the
         // fold total-safe either way.

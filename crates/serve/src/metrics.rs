@@ -247,7 +247,8 @@ pub enum Stage {
     BatchForm,
     /// Wall time of the batched backend forward.
     BackendInfer,
-    /// Response rendering + write on the connection writer.
+    /// Response rendering on the connection writer, observed before the
+    /// reply is written so a client holding its reply is already counted.
     Render,
 }
 
@@ -611,6 +612,34 @@ pub struct MetricsRegistry {
     pub(crate) batch_hist: Mutex<BTreeMap<usize, u64>>,
     versions: Mutex<BTreeMap<u64, Arc<VersionMetrics>>>,
     health: HealthMonitor,
+    #[cfg(test)]
+    pub(crate) hooks: StageHooks,
+}
+
+/// A test-only pause point: a closure run at one stage boundary.
+#[cfg(test)]
+pub(crate) type Hook = Mutex<Option<Box<dyn Fn(&MetricsRegistry) + Send + Sync>>>;
+
+/// Test-only pause points at stage boundaries, so a unit test can force a
+/// thread interleaving instead of waiting for the scheduler to produce it.
+#[cfg(test)]
+#[derive(Default)]
+pub(crate) struct StageHooks {
+    /// Runs in `Service::submit` once the job is in the batcher queue,
+    /// before `submit` returns.
+    pub(crate) after_enqueue: Hook,
+    /// Runs on the connection writer once a reply has been flushed.
+    pub(crate) after_write: Hook,
+}
+
+#[cfg(test)]
+impl MetricsRegistry {
+    /// Runs `hook` if a test installed one.
+    pub(crate) fn run_hook(&self, hook: &Hook) {
+        if let Some(f) = lock(hook).as_ref() {
+            f(self);
+        }
+    }
 }
 
 impl Default for MetricsRegistry {
@@ -646,6 +675,8 @@ impl MetricsRegistry {
             batch_hist: Mutex::new(BTreeMap::new()),
             versions: Mutex::new(BTreeMap::new()),
             health: HealthMonitor::default(),
+            #[cfg(test)]
+            hooks: StageHooks::default(),
         }
     }
 

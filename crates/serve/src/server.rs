@@ -178,12 +178,16 @@ fn writer_loop(
                 }
             },
         };
-        if writeln!(out, "{line}").and_then(|()| out.flush()).is_err() {
-            break;
-        }
+        // Observe before writing: once the reply is on the wire the client
+        // may scrape `metrics` and must find its own request counted.
         if let Some(t0) = render_t0 {
             registry.observe_stage(Stage::Render, t0.elapsed());
         }
+        if writeln!(out, "{line}").and_then(|()| out.flush()).is_err() {
+            break;
+        }
+        #[cfg(test)]
+        registry.run_hook(&registry.hooks.after_write);
     }
 }
 
@@ -385,5 +389,91 @@ fn process_line(
             handle.shutdown();
             false
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    #![allow(clippy::unwrap_used, clippy::expect_used)]
+    use super::*;
+    use crate::backend::InferenceBackend;
+    use crate::lock;
+    use crate::service::ServiceConfig;
+    use crate::store::{ModelLoader, ModelStore};
+    use spikefolio_telemetry::value::parse;
+    use std::io::{BufRead, BufReader};
+    use std::sync::Mutex;
+
+    /// Equal weights over two actions for any one-dimensional state.
+    struct Uniform;
+
+    impl InferenceBackend for Uniform {
+        fn name(&self) -> &str {
+            "uniform"
+        }
+        fn state_dim(&self) -> usize {
+            1
+        }
+        fn action_dim(&self) -> usize {
+            2
+        }
+        fn infer_batch(&self, _states: &[f64], seeds: &[u64]) -> Vec<Vec<f64>> {
+            vec![vec![0.5, 0.5]; seeds.len()]
+        }
+    }
+
+    #[test]
+    fn render_is_counted_before_the_client_can_read_its_reply() {
+        let loader: Box<dyn ModelLoader> =
+            Box::new(|_: &str| -> Result<Box<dyn InferenceBackend>, String> {
+                Ok(Box::new(Uniform))
+            });
+        let service = Service::start(
+            Arc::new(ModelStore::open(loader, "uniform").unwrap()),
+            ServiceConfig::default(),
+        );
+        // Right after each write, before the writer can observe anything
+        // more, record what a scrape would report. The client holds the
+        // reply from this moment on, so its request must already count.
+        let at_write = Arc::new(Mutex::new(Vec::new()));
+        let seen = Arc::clone(&at_write);
+        *lock(&service.registry().hooks.after_write) =
+            Some(Box::new(move |m: &MetricsRegistry| {
+                let served = m.served.load(Ordering::SeqCst);
+                lock(&seen).push((m.stage(Stage::Render).count(), served));
+            }));
+        let server =
+            Server::bind("127.0.0.1:0", Arc::clone(&service), ServerOptions::default()).unwrap();
+        let handle = server.handle();
+        let join = std::thread::spawn(move || server.run());
+        let mut reader = BufReader::new(TcpStream::connect(handle.addr()).unwrap());
+        let mut send = |line: &str| {
+            reader.get_mut().write_all(format!("{line}\n").as_bytes()).unwrap();
+            let mut reply = String::new();
+            reader.read_line(&mut reply).unwrap();
+            parse(reply.trim()).unwrap()
+        };
+        for i in 1..=3u64 {
+            let reply = send(&format!(r#"{{"id":{i},"state":[1.0],"seed":{i}}}"#));
+            assert_eq!(reply.get("ok"), Some(&Value::Bool(true)), "{reply:?}");
+            let scrape = send(r#"{"cmd":"metrics"}"#);
+            let metrics = scrape.get("metrics").expect("metrics map");
+            let render =
+                metrics.get("stages").and_then(|s| s.get("render")).and_then(|r| r.get("count"));
+            let served = metrics.get("counters").and_then(|c| c.get("served"));
+            assert_eq!(served.and_then(Value::as_u64), Some(i), "{metrics:?}");
+            assert_eq!(render.and_then(Value::as_u64), Some(i), "render lags served: {metrics:?}");
+        }
+        // The writer runs the hook for reply `i` before it takes the next
+        // line, so every infer reply's entry is in by now.
+        let at_write = lock(&at_write).clone();
+        for i in 1..=3u64 {
+            assert!(at_write.iter().any(|&(_, served)| served == i), "{at_write:?}");
+        }
+        for (render, served) in at_write {
+            assert_eq!(render, served, "a written reply was not yet counted in render");
+        }
+        handle.shutdown();
+        assert!(join.join().unwrap().is_ok());
     }
 }

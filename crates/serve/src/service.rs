@@ -348,19 +348,32 @@ impl Service {
         let Some(tx) = guard.as_ref() else {
             return Err(ServeError::Shed(ShedReason::ShuttingDown));
         };
+        // Account the job before it becomes visible to the batcher: once
+        // sent, a worker may dequeue it and `fetch_sub` at any moment, and
+        // that must never run ahead of this increment (the gauge would
+        // wrap below zero).
+        let depth = self.metrics.queue_depth.fetch_add(1, Ordering::Relaxed) + 1;
         match tx.try_send(job) {
             Ok(()) => {
+                #[cfg(test)]
+                self.metrics.run_hook(&self.metrics.hooks.after_enqueue);
                 self.metrics.requests.fetch_add(1, Ordering::Relaxed);
-                let depth = self.metrics.queue_depth.fetch_add(1, Ordering::Relaxed) + 1;
                 self.metrics.queue_depth_peak.fetch_max(depth, Ordering::Relaxed);
                 self.metrics.observe_stage(Stage::Accept, accept_t0.elapsed());
                 Ok(reply_rx)
             }
-            Err(TrySendError::Full(_)) => {
-                self.metrics.shed_queue_full.fetch_add(1, Ordering::Relaxed);
-                Err(ServeError::Shed(ShedReason::QueueFull))
+            Err(e) => {
+                self.metrics.queue_depth.fetch_sub(1, Ordering::Relaxed);
+                match e {
+                    TrySendError::Full(_) => {
+                        self.metrics.shed_queue_full.fetch_add(1, Ordering::Relaxed);
+                        Err(ServeError::Shed(ShedReason::QueueFull))
+                    }
+                    TrySendError::Disconnected(_) => {
+                        Err(ServeError::Shed(ShedReason::ShuttingDown))
+                    }
+                }
             }
-            Err(TrySendError::Disconnected(_)) => Err(ServeError::Shed(ShedReason::ShuttingDown)),
         }
     }
 
@@ -831,6 +844,34 @@ mod tests {
             assert!(rx.recv().unwrap().is_ok());
         }
         assert_eq!(svc.stats().shed_queue_full, shed);
+    }
+
+    #[test]
+    fn queue_depth_never_wraps_when_the_batcher_dequeues_first() {
+        // Force the interleaving in which the batcher dequeues, serves and
+        // un-accounts a job before `submit` has returned. Were the job
+        // accounted only after the send, the gauge would wrap below zero
+        // here (and the next increment would overflow).
+        let svc = service(0, ServiceConfig::default());
+        let submitted = Arc::new(AtomicU64::new(0));
+        let counter = Arc::clone(&submitted);
+        *lock(&svc.metrics.hooks.after_enqueue) = Some(Box::new(move |m: &MetricsRegistry| {
+            let n = counter.fetch_add(1, Ordering::SeqCst) + 1;
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while m.served.load(Ordering::SeqCst) < n {
+                assert!(Instant::now() < deadline, "batcher never served request {n}");
+                std::thread::yield_now();
+            }
+            assert_eq!(m.queue_depth.load(Ordering::SeqCst), 0, "batcher ran ahead of accounting");
+        }));
+        for i in 0..4 {
+            let rx = svc.submit(req(i)).unwrap();
+            assert!(rx.recv().unwrap().is_ok());
+            let stats = svc.stats();
+            assert_eq!(stats.queue_depth, 0);
+            assert_eq!(stats.queue_depth_peak, 1);
+        }
+        assert_eq!(submitted.load(Ordering::SeqCst), 4);
     }
 
     #[test]

@@ -1,25 +1,27 @@
-//! Batched SNN execution engine: roll a whole minibatch of states through
-//! the `T` simulation steps with one drive kernel per layer per step
-//! instead of `B` separate matrix–vector products.
+//! The SNN execution engine: roll a minibatch of states through the `T`
+//! simulation steps of Algorithm 1 with one drive kernel per layer per
+//! step. It is the only engine — training, backtests
+//! ([`SdpNetwork::act`]), the energy model
+//! ([`SdpNetwork::act_with_stats`]) and serving all run it, a single
+//! state being a batch of one.
 //!
-//! Since PR 6 the drive defaults to the **event-driven sparse path**
-//! ([`spikefolio_tensor::sparse`]): each spike stack carries a
-//! [`SpikeSet`] of its active indices, and the kernels touch only active
-//! presynaptic columns. The dense GEMM path is retained as the bitwise
-//! reference ([`KernelPath::Dense`], selectable per call via
-//! [`SdpNetwork::forward_batch_with`] or process-wide via
-//! [`set_kernel_path`]); in the default [`SparseMode::Bitwise`] the two
-//! paths produce bit-identical traces.
+//! The drive is **event-driven** ([`spikefolio_tensor::sparse`]): each
+//! spike stack carries a [`SpikeSet`] of its active indices, and the
+//! kernels touch only active presynaptic columns. A workspace built with
+//! [`BatchWorkspace::dense_reference`] routes the same passes through the
+//! dense GEMM kernels instead; it exists as the test oracle the
+//! event-driven kernels are checked against, and produces bit-identical
+//! traces and gradients.
 //!
 //! # Memory layout
 //!
 //! All per-timestep quantities are stored as *stacked* `(T·B) × dim`
 //! matrices with row index `r = t·B + b` — timestep-major, sample-minor. A
 //! timestep is therefore one contiguous `B × dim` row block, which is
-//! exactly the operand shape the GEMM kernels in `spikefolio_tensor::gemm`
-//! address without copying. Layer `k`'s inputs are layer `k−1`'s output
-//! stack (or the encoder stack for `k = 0`); inputs are never duplicated
-//! into per-layer traces.
+//! exactly the operand shape the kernels in `spikefolio_tensor` address
+//! without copying. Layer `k`'s inputs are layer `k−1`'s output stack (or
+//! the encoder stack for `k = 0`); inputs are never duplicated into
+//! per-layer traces.
 //!
 //! # Workspace reuse
 //!
@@ -31,98 +33,26 @@
 //!
 //! # Determinism contract
 //!
-//! * The forward pass encodes sample `b` with `rngs[b]`, consuming exactly
-//!   the random stream [`crate::encoder::PopulationEncoder::encode`]
-//!   would, and every layer
-//!   update evaluates the same floating-point expressions in the same order
-//!   as [`crate::layer::LifLayer::step`] (the batched drive GEMM computes
-//!   k-ascending dot products, bitwise identical to `matvec`). Actions from
-//!   `forward_batch` are therefore **bit-identical** to per-sample
-//!   [`SdpNetwork::forward`] calls with the same per-sample RNGs.
-//! * The backward pass reproduces the per-sample recurrences bitwise and
-//!   only reorders the final `(t, b)` gradient reductions, so parameter
-//!   gradients match the per-sample path to ~1e-14 (well inside the 1e-12
+//! * Sample `b` is encoded with `rngs[b]`, consuming exactly the random
+//!   stream [`crate::encoder::PopulationEncoder::encode`] would, and every
+//!   per-sample update reads only that sample's rows. Actions are
+//!   therefore **bit-identical** however samples are grouped: a batch of
+//!   `n` equals `n` batches of one (e.g. `n` [`SdpNetwork::act`] calls)
+//!   with the same per-sample RNGs.
+//! * The backward pass evaluates the per-sample recurrences elementwise in
+//!   a fixed order and only sums the `(t, b)` weight-gradient
+//!   contributions in stack order, so gradients of a batch of `n` match
+//!   the sum of `n` batches of one to ~1e-14 (well inside the 1e-12
 //!   equivalence budget).
+//! * The event-driven kernels equal the dense reference bitwise (see
+//!   [`spikefolio_tensor::sparse`]).
 
 use crate::network::{SdpNetwork, SpikeStats};
 use rand::Rng;
 use spikefolio_telemetry::labels::{SPAN_PROFILE_SNN_ENCODE, SPAN_PROFILE_SNN_LIF};
-use spikefolio_telemetry::{NoopRecorder, Recorder, Stopwatch};
-use spikefolio_tensor::sparse::{self, SparseMode, SpikeSet};
+use spikefolio_telemetry::{Recorder, Stopwatch};
+use spikefolio_tensor::sparse::{self, SpikeSet};
 use spikefolio_tensor::{gemm, Matrix};
-use std::sync::atomic::{AtomicU8, Ordering};
-
-/// Which kernel implementation the batched passes route through.
-///
-/// The event-driven sparse path is the production default; the dense GEMM
-/// path is kept as the bitwise reference the equivalence test battery
-/// compares against. In [`SparseMode::Bitwise`] the two produce
-/// bit-identical traces and gradients (see
-/// [`spikefolio_tensor::sparse`]), so which one runs is observable only
-/// in wall-clock time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KernelPath {
-    /// Event-driven sparse kernels ([`sparse::spike_drive`] /
-    /// [`sparse::spike_outer_acc`]) in the given reduction mode.
-    Sparse(SparseMode),
-    /// Dense GEMM reference kernels ([`gemm::gemm_nt`] /
-    /// [`gemm::gemm_tn_acc`]).
-    Dense,
-}
-
-/// Process-global kernel-path override, encoded for the atomic:
-/// 0 = default (sparse, mode from [`sparse::default_mode`]), 1 = dense,
-/// 2 = sparse bitwise, 3 = sparse fast-math.
-static KERNEL_PATH_OVERRIDE: AtomicU8 = AtomicU8::new(0);
-
-/// Forces every [`SdpNetwork::forward_batch`] /
-/// [`crate::stbp::backward_batch`] call in this process onto `path`.
-///
-/// Intended for equivalence testing of code that only exposes the default
-/// entry points (e.g. driving a full training run down the dense reference
-/// path). Note the override is process-global: concurrent tests observe
-/// it too, which is safe precisely because `Dense` and
-/// `Sparse(SparseMode::Bitwise)` are bit-identical — avoid setting
-/// `Sparse(SparseMode::FastMath)` globally in multi-threaded test runs.
-pub fn set_kernel_path(path: KernelPath) {
-    let code = match path {
-        KernelPath::Dense => 1,
-        KernelPath::Sparse(SparseMode::Bitwise) => 2,
-        KernelPath::Sparse(SparseMode::FastMath) => 3,
-    };
-    KERNEL_PATH_OVERRIDE.store(code, Ordering::SeqCst);
-}
-
-/// Clears a [`set_kernel_path`] override, restoring the default (sparse,
-/// with the mode chosen by [`sparse::default_mode`]).
-pub fn reset_kernel_path() {
-    KERNEL_PATH_OVERRIDE.store(0, Ordering::SeqCst);
-}
-
-/// The process default when no [`set_kernel_path`] override is active:
-/// the `SPIKEFOLIO_KERNEL_PATH` environment variable (`dense`, `sparse`,
-/// `fastmath`) read once at first use, falling back to the sparse path
-/// with the mode chosen by [`sparse::default_mode`]. The env hook exists
-/// for A/B benchmarking (`bench run` under each path) without a rebuild.
-fn env_default_path() -> KernelPath {
-    static PATH: std::sync::OnceLock<KernelPath> = std::sync::OnceLock::new();
-    *PATH.get_or_init(|| match std::env::var("SPIKEFOLIO_KERNEL_PATH").as_deref() {
-        Ok("dense") => KernelPath::Dense,
-        Ok("fastmath") => KernelPath::Sparse(SparseMode::FastMath),
-        Ok("sparse") => KernelPath::Sparse(SparseMode::Bitwise),
-        _ => KernelPath::Sparse(sparse::default_mode()),
-    })
-}
-
-/// The [`KernelPath`] the default entry points currently route through.
-pub fn kernel_path() -> KernelPath {
-    match KERNEL_PATH_OVERRIDE.load(Ordering::SeqCst) {
-        1 => KernelPath::Dense,
-        2 => KernelPath::Sparse(SparseMode::Bitwise),
-        3 => KernelPath::Sparse(SparseMode::FastMath),
-        _ => env_default_path(),
-    }
-}
 
 /// Recorded history of one layer for a whole minibatch: stacked
 /// `(T·B) × out_dim` matrices, row `r = t·B + b`.
@@ -269,6 +199,9 @@ pub(crate) struct BatchLayerBufs {
 #[derive(Debug, Clone)]
 pub struct BatchWorkspace {
     pub(crate) batch: usize,
+    /// Run the dense GEMM reference kernels instead of the event-driven
+    /// ones (see [`BatchWorkspace::dense_reference`]).
+    pub(crate) dense: bool,
     /// Per-sample encoder scratch, `T × encoder_dim`.
     pub(crate) enc_scratch: Matrix,
     pub(crate) layers: Vec<BatchLayerBufs>,
@@ -310,10 +243,24 @@ impl BatchWorkspace {
         let out_last = net.layers.last().map_or(0, |l| l.out_dim());
         Self {
             batch,
+            dense: false,
             enc_scratch: Matrix::zeros(t_max, net.encoder.output_dim()),
             layers,
             spike_sums: Matrix::zeros(batch, out_last),
         }
+    }
+
+    /// A workspace whose passes run the dense GEMM kernels
+    /// ([`gemm::gemm_nt`] / [`gemm::gemm_tn_acc`]) instead of the
+    /// event-driven ones. The results are bit-identical; this is the
+    /// reference the equivalence tests compare the event-driven kernels
+    /// against, and is slower on sparse rasters.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `batch == 0`.
+    pub fn dense_reference(net: &SdpNetwork, batch: usize) -> Self {
+        Self { dense: true, ..Self::new(net, batch) }
     }
 
     /// Minibatch size `B` the workspace was allocated for.
@@ -328,15 +275,21 @@ fn count_spikes(data: &[f64]) -> u64 {
 
 impl SdpNetwork {
     /// Batched forward pass: runs every row of `states` (`B × state_dim`)
-    /// through Algorithm 1 simultaneously, one GEMM per layer per timestep.
+    /// through Algorithm 1 simultaneously, one drive kernel per layer per
+    /// timestep.
     ///
     /// Sample `b` is encoded with `rngs[b]`, so with per-sample seeded RNGs
-    /// the result is independent of how samples are grouped into batches —
-    /// and bit-identical to per-sample [`SdpNetwork::forward`] calls (see
-    /// the [module docs](crate::batch)).
+    /// the result is independent of how samples are grouped into batches
+    /// (see the [module docs](crate::batch)).
     ///
     /// `ws` and `trace` must have been built for this network at batch size
     /// `states.rows()`; both are fully overwritten.
+    ///
+    /// The encode section and the LIF timestep loop are timed as
+    /// [`SPAN_PROFILE_SNN_ENCODE`] and [`SPAN_PROFILE_SNN_LIF`] spans on
+    /// `rec`. Recording is observe-only, and with a disabled recorder
+    /// (e.g. [`spikefolio_telemetry::NoopRecorder`]) the stopwatches never
+    /// read the clock.
     ///
     /// # Panics
     ///
@@ -348,81 +301,13 @@ impl SdpNetwork {
         rngs: &mut [R],
         ws: &mut BatchWorkspace,
         trace: &mut BatchNetworkTrace,
-    ) {
-        self.forward_batch_recorded(states, rngs, ws, trace, &mut NoopRecorder);
-    }
-
-    /// One-shot batched action selection: allocates a workspace and trace
-    /// for `states.rows()` samples, runs [`forward_batch`](Self::forward_batch),
-    /// and returns each sample's portfolio weight vector. The serving path
-    /// uses this when it has no long-lived workspace to reuse; results are
-    /// bit-identical to per-sample [`SdpNetwork::act`] with the same RNGs.
-    ///
-    /// # Panics
-    ///
-    /// Panics on the same shape mismatches as [`forward_batch`](Self::forward_batch).
-    pub fn act_batch<R: Rng>(&self, states: &Matrix, rngs: &mut [R]) -> Vec<Vec<f64>> {
-        let bsz = states.rows();
-        let mut ws = BatchWorkspace::new(self, bsz);
-        let mut trace = BatchNetworkTrace::new(self, bsz);
-        self.forward_batch(states, rngs, &mut ws, &mut trace);
-        (0..bsz).map(|b| trace.action(b).to_vec()).collect()
-    }
-
-    /// [`SdpNetwork::forward_batch`] routed through an explicit
-    /// [`KernelPath`] instead of the process default — the entry point the
-    /// equivalence test battery uses to compare the event-driven path
-    /// against the dense reference on identical inputs.
-    ///
-    /// # Panics
-    ///
-    /// Panics on the same shape mismatches as
-    /// [`forward_batch`](Self::forward_batch).
-    pub fn forward_batch_with<R: Rng>(
-        &self,
-        states: &Matrix,
-        rngs: &mut [R],
-        ws: &mut BatchWorkspace,
-        trace: &mut BatchNetworkTrace,
-        path: KernelPath,
-    ) {
-        self.forward_batch_impl(states, rngs, ws, trace, &mut NoopRecorder, path);
-    }
-
-    /// [`SdpNetwork::forward_batch`] with phase profiling: the encode
-    /// section and the LIF timestep loop are timed as
-    /// [`SPAN_PROFILE_SNN_ENCODE`] and [`SPAN_PROFILE_SNN_LIF`] spans on
-    /// `rec`.
-    ///
-    /// Observe-only: the recorder never influences the computation, and
-    /// with a disabled recorder (e.g. [`NoopRecorder`]) the stopwatches
-    /// never read the clock — the cost over `forward_batch` is a few
-    /// predictable branches per call, not per element.
-    pub fn forward_batch_recorded<R: Rng>(
-        &self,
-        states: &Matrix,
-        rngs: &mut [R],
-        ws: &mut BatchWorkspace,
-        trace: &mut BatchNetworkTrace,
         rec: &mut dyn Recorder,
-    ) {
-        self.forward_batch_impl(states, rngs, ws, trace, rec, kernel_path());
-    }
-
-    fn forward_batch_impl<R: Rng>(
-        &self,
-        states: &Matrix,
-        rngs: &mut [R],
-        ws: &mut BatchWorkspace,
-        trace: &mut BatchNetworkTrace,
-        rec: &mut dyn Recorder,
-        path: KernelPath,
     ) {
         let bsz = states.rows();
         let t_max = self.config().timesteps;
         let enc_dim = self.encoder.output_dim();
         assert!(bsz > 0, "forward_batch: empty batch");
-        assert_eq!(states.cols(), self.config().state_dim, "forward_batch: state width mismatch");
+        assert_eq!(states.cols(), self.config().state_dim, "forward_batch: state length mismatch");
         assert_eq!(rngs.len(), bsz, "forward_batch: need one RNG per sample");
         assert_eq!(ws.batch, bsz, "forward_batch: workspace batch mismatch");
         assert_eq!(trace.batch, bsz, "forward_batch: trace batch mismatch");
@@ -459,7 +344,8 @@ impl SdpNetwork {
         // The event-driven drive streams rows of Wᵀ; weights are constant
         // over the simulation, so transpose once per call into the
         // workspace (amortized over T·B drive rows).
-        if matches!(path, KernelPath::Sparse(_)) {
+        let dense = ws.dense;
+        if !dense {
             for (lb, layer) in ws.layers.iter_mut().zip(&self.layers) {
                 layer.weights.transpose_into(&mut lb.wt);
             }
@@ -485,42 +371,35 @@ impl SdpNetwork {
                     )
                 };
                 let lb = &mut ws.layers[k];
-                match path {
-                    KernelPath::Sparse(mode) => {
-                        // Event-driven c-drive: touch only the active
-                        // presynaptic columns, k-ascending — bitwise
-                        // identical to the dense reference in
-                        // `SparseMode::Bitwise` (see tensor::sparse).
-                        kernel_events += sparse::spike_drive(
-                            input_block,
-                            input_set,
-                            t * bsz,
-                            lb.wt.as_slice(),
-                            lb.drive.as_mut_slice(),
-                            bsz,
-                            in_dim,
-                            out_dim,
-                            mode,
-                        );
+                if dense {
+                    // Dense reference: B k-ascending dots per neuron. Tally
+                    // the events the sparse kernel would process so traces
+                    // stay comparable across kernels.
+                    gemm::gemm_nt(
+                        input_block,
+                        layer.weights.as_slice(),
+                        lb.drive.as_mut_slice(),
+                        bsz,
+                        in_dim,
+                        out_dim,
+                    );
+                    for b in 0..bsz {
+                        kernel_events += input_set.row(t * bsz + b).len() as u64 * out_dim as u64;
                     }
-                    KernelPath::Dense => {
-                        // Dense reference: B k-ascending dots per neuron,
-                        // bitwise identical to per-sample `matvec`. Tally
-                        // the events the sparse kernel would process so
-                        // traces stay comparable across paths.
-                        gemm::gemm_nt(
-                            input_block,
-                            layer.weights.as_slice(),
-                            lb.drive.as_mut_slice(),
-                            bsz,
-                            in_dim,
-                            out_dim,
-                        );
-                        for b in 0..bsz {
-                            kernel_events +=
-                                input_set.row(t * bsz + b).len() as u64 * out_dim as u64;
-                        }
-                    }
+                } else {
+                    // Event-driven c-drive: touch only the active
+                    // presynaptic columns, k-ascending — bitwise identical
+                    // to the dense reference (see tensor::sparse).
+                    kernel_events += sparse::spike_drive(
+                        input_block,
+                        input_set,
+                        t * bsz,
+                        lb.wt.as_slice(),
+                        lb.drive.as_mut_slice(),
+                        bsz,
+                        in_dim,
+                        out_dim,
+                    );
                 }
                 let p = &layer.params;
                 for b in 0..bsz {
@@ -562,7 +441,7 @@ impl SdpNetwork {
         trace.kernel_events = kernel_events;
         lif_watch.stop(rec, SPAN_PROFILE_SNN_LIF);
 
-        // Event counters (summed over the batch, matching B per-sample runs).
+        // Event counters, summed over the batch.
         for (k, layer) in self.layers.iter().enumerate() {
             let inputs = if k == 0 {
                 trace.encoder.as_slice()
@@ -576,8 +455,8 @@ impl SdpNetwork {
             trace.layer_spikes[k] = out_spikes;
         }
 
-        // Σ_t o(t) per sample over the last layer, t ascending as in the
-        // per-sample path, then decode each sample.
+        // Σ_t o(t) per sample over the last layer, t ascending, then decode
+        // each sample.
         let last = trace.layers.last().expect("network has at least one layer");
         ws.spike_sums.fill_zero();
         for t in 0..t_max {
@@ -603,6 +482,7 @@ mod tests {
     use crate::network::SdpNetworkConfig;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use spikefolio_telemetry::NoopRecorder;
 
     fn rng(seed: u64) -> StdRng {
         StdRng::seed_from_u64(seed)
@@ -613,6 +493,20 @@ mod tests {
         Matrix::from_fn(batch, dim, |b, d| 0.8 + 0.05 * ((b * dim + d) % 9) as f64)
     }
 
+    /// Forward pass of `st` with sample `b` seeded `seed0 + b`.
+    fn run(
+        net: &SdpNetwork,
+        st: &Matrix,
+        seed0: u64,
+        ws: &mut BatchWorkspace,
+    ) -> BatchNetworkTrace {
+        let batch = st.rows();
+        let mut trace = BatchNetworkTrace::new(net, batch);
+        let mut rngs: Vec<StdRng> = (0..batch).map(|b| rng(seed0 + b as u64)).collect();
+        net.forward_batch(st, &mut rngs, ws, &mut trace, &mut NoopRecorder);
+        trace
+    }
+
     #[test]
     fn forward_batch_is_bitwise_equal_to_per_sample_forward() {
         for encoding in [Encoding::Deterministic, Encoding::Probabilistic] {
@@ -621,13 +515,9 @@ mod tests {
             let net = SdpNetwork::new(cfg, &mut rng(7));
             let batch = 5;
             let st = states(&net, batch);
-            let mut ws = BatchWorkspace::new(&net, batch);
-            let mut trace = BatchNetworkTrace::new(&net, batch);
-            let mut rngs: Vec<StdRng> = (0..batch).map(|b| rng(100 + b as u64)).collect();
-            net.forward_batch(&st, &mut rngs, &mut ws, &mut trace);
+            let trace = run(&net, &st, 100, &mut BatchWorkspace::new(&net, batch));
             for b in 0..batch {
-                let mut r = rng(100 + b as u64);
-                let (action, _) = net.forward(st.row(b), &mut r);
+                let action = net.act(st.row(b), &mut rng(100 + b as u64));
                 assert_eq!(trace.action(b), action.as_slice(), "{encoding:?} sample {b}");
             }
         }
@@ -638,10 +528,7 @@ mod tests {
         let net = SdpNetwork::new(SdpNetworkConfig::small(4, 3), &mut rng(7));
         let batch = 4;
         let st = states(&net, batch);
-        let mut ws = BatchWorkspace::new(&net, batch);
-        let mut trace = BatchNetworkTrace::new(&net, batch);
-        let mut rngs: Vec<StdRng> = (0..batch).map(|b| rng(b as u64)).collect();
-        net.forward_batch(&st, &mut rngs, &mut ws, &mut trace);
+        let trace = run(&net, &st, 0, &mut BatchWorkspace::new(&net, batch));
         let mut expect = SpikeStats::default();
         for b in 0..batch {
             let (_, s) = net.act_with_stats(st.row(b), &mut rng(b as u64));
@@ -658,13 +545,12 @@ mod tests {
         let net = SdpNetwork::new(SdpNetworkConfig::small(4, 3), &mut rng(11));
         let batch = 4;
         let st = states(&net, batch);
-        let mut ws = BatchWorkspace::new(&net, batch);
-        let mut trace = BatchNetworkTrace::new(&net, batch);
-        let mut rngs: Vec<StdRng> = (0..batch).map(|b| rng(b as u64)).collect();
-        net.forward_batch(&st, &mut rngs, &mut ws, &mut trace);
+        let trace = run(&net, &st, 0, &mut BatchWorkspace::new(&net, batch));
         let mut expect = vec![0u64; net.layers.len()];
+        let mut ws1 = BatchWorkspace::new(&net, 1);
         for b in 0..batch {
-            let (_, t) = net.forward(st.row(b), &mut rng(b as u64));
+            let single = Matrix::from_rows(&[st.row(b)]);
+            let t = run(&net, &single, b as u64, &mut ws1);
             assert_eq!(t.layer_spikes.iter().sum::<u64>(), t.stats.neuron_spikes);
             for (e, s) in expect.iter_mut().zip(&t.layer_spikes) {
                 *e += s;
@@ -684,19 +570,13 @@ mod tests {
         let net = SdpNetwork::new(SdpNetworkConfig::small(4, 3), &mut rng(9));
         let batch = 3;
         let mut ws = BatchWorkspace::new(&net, batch);
-        let mut trace = BatchNetworkTrace::new(&net, batch);
         let st1 = states(&net, batch);
         let st2 = st1.map(|v| v + 0.01);
-        let mut rngs: Vec<StdRng> = (0..batch).map(|b| rng(b as u64)).collect();
-        net.forward_batch(&st1, &mut rngs, &mut ws, &mut trace);
-        let first = trace.actions.clone();
+        let first = run(&net, &st1, 0, &mut ws).actions;
         // Run different inputs through the same buffers, then the originals
         // again: stale state must not leak.
-        let mut rngs2: Vec<StdRng> = (0..batch).map(|b| rng(b as u64)).collect();
-        net.forward_batch(&st2, &mut rngs2, &mut ws, &mut trace);
-        let mut rngs3: Vec<StdRng> = (0..batch).map(|b| rng(b as u64)).collect();
-        net.forward_batch(&st1, &mut rngs3, &mut ws, &mut trace);
-        assert_eq!(trace.actions, first, "workspace reuse must be stateless");
+        run(&net, &st2, 0, &mut ws);
+        assert_eq!(run(&net, &st1, 0, &mut ws).actions, first, "workspace reuse must be stateless");
     }
 
     #[test]
@@ -706,12 +586,9 @@ mod tests {
         let net = SdpNetwork::new(cfg, &mut rng(21));
         let batch = 3;
         let st = states(&net, batch);
-        let mut ws = BatchWorkspace::new(&net, batch);
-        let mut trace = BatchNetworkTrace::new(&net, batch);
-        let mut rngs: Vec<StdRng> = (0..batch).map(|b| rng(b as u64)).collect();
-        net.forward_batch(&st, &mut rngs, &mut ws, &mut trace);
+        let trace = run(&net, &st, 0, &mut BatchWorkspace::new(&net, batch));
         for b in 0..batch {
-            let (action, _) = net.forward(st.row(b), &mut rng(b as u64));
+            let action = net.act(st.row(b), &mut rng(b as u64));
             assert_eq!(trace.action(b), action.as_slice(), "ALIF sample {b}");
         }
     }
@@ -723,14 +600,12 @@ mod tests {
         let batch = 4;
         let st = states(&net, batch);
         let mut ws = BatchWorkspace::new(&net, batch);
-        let mut plain = BatchNetworkTrace::new(&net, batch);
-        let mut rngs: Vec<StdRng> = (0..batch).map(|b| rng(b as u64)).collect();
-        net.forward_batch(&st, &mut rngs, &mut ws, &mut plain);
+        let plain = run(&net, &st, 0, &mut ws);
 
         let mut rec = MemoryRecorder::default();
         let mut observed = BatchNetworkTrace::new(&net, batch);
-        let mut rngs2: Vec<StdRng> = (0..batch).map(|b| rng(b as u64)).collect();
-        net.forward_batch_recorded(&st, &mut rngs2, &mut ws, &mut observed, &mut rec);
+        let mut rngs: Vec<StdRng> = (0..batch).map(|b| rng(b as u64)).collect();
+        net.forward_batch(&st, &mut rngs, &mut ws, &mut observed, &mut rec);
 
         assert_eq!(observed, plain, "recording must not change the forward pass");
         let (enc_s, enc_n) = rec.span_total(SPAN_PROFILE_SNN_ENCODE);
@@ -744,20 +619,9 @@ mod tests {
         let net = SdpNetwork::new(SdpNetworkConfig::small(4, 3), &mut rng(17));
         let batch = 4;
         let st = states(&net, batch);
-        let mut ws = BatchWorkspace::new(&net, batch);
-        let mut dense = BatchNetworkTrace::new(&net, batch);
-        let mut rngs: Vec<StdRng> = (0..batch).map(|b| rng(b as u64)).collect();
-        net.forward_batch_with(&st, &mut rngs, &mut ws, &mut dense, KernelPath::Dense);
-        let mut sparse_t = BatchNetworkTrace::new(&net, batch);
-        let mut rngs2: Vec<StdRng> = (0..batch).map(|b| rng(b as u64)).collect();
-        net.forward_batch_with(
-            &st,
-            &mut rngs2,
-            &mut ws,
-            &mut sparse_t,
-            KernelPath::Sparse(SparseMode::Bitwise),
-        );
-        assert_eq!(sparse_t, dense, "bitwise sparse trace must equal the dense reference");
+        let dense = run(&net, &st, 0, &mut BatchWorkspace::dense_reference(&net, batch));
+        let sparse_t = run(&net, &st, 0, &mut BatchWorkspace::new(&net, batch));
+        assert_eq!(sparse_t, dense, "event-driven trace must equal the dense reference");
         assert!(sparse_t.kernel_events > 0, "workload should produce events");
     }
 
@@ -768,25 +632,8 @@ mod tests {
         let net = SdpNetwork::new(SdpNetworkConfig::small(4, 3), &mut rng(29));
         let batch = 6;
         let st = states(&net, batch);
-        let mut ws = BatchWorkspace::new(&net, batch);
-        let mut trace = BatchNetworkTrace::new(&net, batch);
-        let mut rngs: Vec<StdRng> = (0..batch).map(|b| rng(b as u64)).collect();
-        net.forward_batch(&st, &mut rngs, &mut ws, &mut trace);
+        let trace = run(&net, &st, 0, &mut BatchWorkspace::new(&net, batch));
         assert_eq!(trace.kernel_events, trace.stats.synops);
-    }
-
-    #[test]
-    fn kernel_path_override_round_trips() {
-        // Default with no env override is the bitwise sparse path.
-        if std::env::var("SPIKEFOLIO_FAST_MATH").is_err() {
-            assert_eq!(kernel_path(), KernelPath::Sparse(SparseMode::Bitwise));
-        }
-        // Dense and Sparse(Bitwise) are bit-identical, so flipping the
-        // global override mid-run is safe for concurrently running tests.
-        set_kernel_path(KernelPath::Dense);
-        assert_eq!(kernel_path(), KernelPath::Dense);
-        reset_kernel_path();
-        assert_eq!(kernel_path(), KernelPath::Sparse(sparse::default_mode()));
     }
 
     #[test]
@@ -794,9 +641,6 @@ mod tests {
     fn wrong_workspace_batch_panics() {
         let net = SdpNetwork::new(SdpNetworkConfig::small(4, 3), &mut rng(3));
         let st = states(&net, 2);
-        let mut ws = BatchWorkspace::new(&net, 3);
-        let mut trace = BatchNetworkTrace::new(&net, 2);
-        let mut rngs = vec![rng(0), rng(1)];
-        net.forward_batch(&st, &mut rngs, &mut ws, &mut trace);
+        run(&net, &st, 0, &mut BatchWorkspace::new(&net, 3));
     }
 }

@@ -9,9 +9,11 @@ use spikefolio_tensor::Matrix;
 /// adaptive thresholds (ALIF).
 ///
 /// Holds the weight matrix `W` (`out × in`), bias `b`, neuron parameters,
-/// and the spike nonlinearity. The layer itself is stateless between
-/// forward passes; per-simulation state (`c`, `v`, `o`, adaptation `b`)
-/// lives in [`LayerState`] and recorded histories in [`LayerTrace`].
+/// and the spike nonlinearity. The layer itself is stateless; the
+/// simulation state (`c`, `v`, `o`, adaptation `b`) lives in a
+/// [`crate::batch::BatchWorkspace`] and the recorded history in a
+/// [`crate::batch::BatchLayerTrace`], both driven by
+/// [`crate::network::SdpNetwork::forward_batch`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct LifLayer {
     /// Synaptic weight matrix, `out_dim × in_dim`.
@@ -24,58 +26,6 @@ pub struct LifLayer {
     pub spike_fn: SpikeFn,
     /// Threshold adaptation (ALIF) if enabled.
     pub adaptation: Option<AdaptiveParams>,
-}
-
-/// Mutable simulation state of one layer.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct LayerState {
-    /// Synaptic currents `c`.
-    pub current: Vec<f64>,
-    /// Membrane voltages `v`.
-    pub voltage: Vec<f64>,
-    /// Previous step's spikes `o(t−1)`.
-    pub spikes: Vec<f64>,
-    /// Adaptation traces `b` (all zeros for plain LIF).
-    pub adapt: Vec<f64>,
-}
-
-impl LayerState {
-    /// Zeroed state for `n` neurons.
-    pub fn zeros(n: usize) -> Self {
-        Self {
-            current: vec![0.0; n],
-            voltage: vec![0.0; n],
-            spikes: vec![0.0; n],
-            adapt: vec![0.0; n],
-        }
-    }
-}
-
-/// Recorded per-timestep history of one layer, consumed by the STBP
-/// backward pass.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct LayerTrace {
-    /// Input spike vectors `o_in(t)`, one row per timestep.
-    pub inputs: Vec<Vec<f64>>,
-    /// Post-update membrane voltages `v(t)`.
-    pub voltages: Vec<Vec<f64>>,
-    /// Output spikes `o(t)`.
-    pub outputs: Vec<Vec<f64>>,
-    /// Effective thresholds `th(t)` per neuron (constant `V_th` columns
-    /// for plain LIF layers).
-    pub thresholds: Vec<Vec<f64>>,
-}
-
-impl LayerTrace {
-    /// Number of recorded timesteps.
-    pub fn len(&self) -> usize {
-        self.outputs.len()
-    }
-
-    /// Whether nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.outputs.is_empty()
-    }
 }
 
 impl LifLayer {
@@ -127,64 +77,6 @@ impl LifLayer {
         self.weights.rows()
     }
 
-    /// Advances the layer one timestep: updates `state` in place per
-    /// Algorithm 1 and returns nothing (read spikes from
-    /// `state.spikes`). If `trace` is provided, records inputs, voltages,
-    /// and outputs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if dimensions disagree.
-    pub fn step(&self, input: &[f64], state: &mut LayerState, mut trace: Option<&mut LayerTrace>) {
-        assert_eq!(input.len(), self.in_dim(), "input length mismatch");
-        assert_eq!(state.current.len(), self.out_dim(), "state size mismatch");
-        let p = &self.params;
-        // c(t) = d_c·c(t−1) + W·o_in + b   (eq. 5)
-        let drive = self.weights.matvec(input);
-        for (i, d) in drive.iter().enumerate() {
-            state.current[i] = p.d_c * state.current[i] + d + self.bias[i];
-            // v(t) = d_v·v(t−1)·(1 − o(t−1)) + c(t)   (eq. 6 + reset)
-            state.voltage[i] =
-                p.d_v * state.voltage[i] * (1.0 - state.spikes[i]) + state.current[i];
-        }
-        // Effective thresholds: th(t) = V_th + β·b(t) with the adaptation
-        // trace updated from the previous step's spikes.
-        let thresholds: Vec<f64> = match self.adaptation {
-            Some(ad) => {
-                for (b, &o_prev) in state.adapt.iter_mut().zip(&state.spikes) {
-                    *b = ad.rho * *b + (1.0 - ad.rho) * o_prev;
-                }
-                state.adapt.iter().map(|&b| p.v_th + ad.beta * b).collect()
-            }
-            None => vec![p.v_th; self.out_dim()],
-        };
-        if let Some(tr) = trace.as_deref_mut() {
-            tr.inputs.push(input.to_vec());
-            tr.voltages.push(state.voltage.clone());
-            tr.thresholds.push(thresholds.clone());
-        }
-        for (i, &th) in thresholds.iter().enumerate() {
-            state.spikes[i] = self.spike_fn.spike(state.voltage[i], th); // eq. 7
-        }
-        if let Some(tr) = trace {
-            tr.outputs.push(state.spikes.clone());
-        }
-    }
-
-    /// Runs the layer over a whole spike raster (`T × in_dim`), returning
-    /// the output raster (`T × out_dim`) and, if requested, the trace.
-    pub fn forward(&self, inputs: &Matrix, record: bool) -> (Matrix, Option<LayerTrace>) {
-        let t_max = inputs.rows();
-        let mut state = LayerState::zeros(self.out_dim());
-        let mut trace = if record { Some(LayerTrace::default()) } else { None };
-        let mut out = Matrix::zeros(t_max, self.out_dim());
-        for t in 0..t_max {
-            self.step(inputs.row(t).to_vec().as_slice(), &mut state, trace.as_mut());
-            out.row_mut(t).copy_from_slice(&state.spikes);
-        }
-        (out, trace)
-    }
-
     /// Total number of trainable parameters.
     pub fn num_params(&self) -> usize {
         self.weights.len() + self.bias.len()
@@ -192,8 +84,10 @@ impl LifLayer {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::batch::BatchNetworkTrace;
+    use crate::network::{SdpNetwork, SdpNetworkConfig};
     use crate::surrogate::Surrogate;
     use rand::SeedableRng;
 
@@ -203,6 +97,23 @@ mod tests {
 
     fn hard() -> SpikeFn {
         SpikeFn::Hard { surrogate: Surrogate::paper_rectangular() }
+    }
+
+    /// Batch-of-one trace of a network whose hidden layer (layer 0) is a
+    /// single neuron with zero synaptic weights and bias `drive`, so its
+    /// current follows `c(t) = d_c·c(t−1) + drive` whatever the encoder
+    /// emits. `edit` adjusts the rest of the configuration first.
+    pub(crate) fn drive_one_neuron(
+        edit: impl FnOnce(&mut SdpNetworkConfig),
+        drive: f64,
+    ) -> BatchNetworkTrace {
+        let mut cfg = SdpNetworkConfig::small(1, 1);
+        cfg.hidden = vec![1];
+        edit(&mut cfg);
+        let mut net = SdpNetwork::new(cfg, &mut rng());
+        net.layers[0].weights = Matrix::zeros(1, net.layers[0].in_dim());
+        net.layers[0].bias[0] = drive;
+        net.forward_one(&[1.0], &mut rng())
     }
 
     #[test]
@@ -215,30 +126,26 @@ mod tests {
 
     #[test]
     fn silent_input_produces_no_spikes() {
-        let l = LifLayer::new(6, 3, LifParams::paper(), hard(), &mut rng());
-        let inputs = Matrix::zeros(5, 6);
-        let (out, _) = l.forward(&inputs, false);
-        assert_eq!(out, Matrix::zeros(5, 3));
+        // A silent hidden neuron leaves the output layer (zero bias) with
+        // silent input: neither layer may spike.
+        let tr = drive_one_neuron(|_| {}, 0.0);
+        for lt in &tr.layers {
+            assert!(lt.outputs.as_slice().iter().all(|&o| o == 0.0));
+        }
     }
 
     #[test]
     fn strong_constant_drive_spikes() {
-        let mut l = LifLayer::new(2, 1, LifParams::paper(), hard(), &mut rng());
-        l.weights = Matrix::filled(1, 2, 1.0);
-        let inputs = Matrix::filled(4, 2, 1.0); // drive = 2.0 per step ≫ V_th
-        let (out, _) = l.forward(&inputs, false);
+        let tr = drive_one_neuron(|c| c.timesteps = 4, 2.0); // drive 2.0 per step ≫ V_th
+        let out = &tr.layers[0].outputs;
         assert!(out.as_slice().iter().sum::<f64>() >= 3.0, "neuron should spike nearly every step");
     }
 
     #[test]
     fn dynamics_match_hand_simulation() {
-        // One neuron, one input, weight 0.3, no bias.
-        let mut l = LifLayer::new(1, 1, LifParams::paper(), hard(), &mut rng());
-        l.weights = Matrix::filled(1, 1, 0.3);
-        l.bias[0] = 0.0;
-        let inputs = Matrix::filled(6, 1, 1.0);
-        let (out, tr) = l.forward(&inputs, true);
-        let tr = tr.unwrap();
+        // One neuron driven by a constant 0.3 per step.
+        let tr = drive_one_neuron(|c| c.timesteps = 6, 0.3);
+        let lt = &tr.layers[0];
         // Hand-rolled dual-state dynamics.
         let (mut c, mut v, mut o) = (0.0, 0.0, 0.0);
         for t in 0..6 {
@@ -246,52 +153,55 @@ mod tests {
             v = 0.8 * v * (1.0 - o) + c;
             let exp_v = v;
             o = if v > 0.5 { 1.0 } else { 0.0 };
-            assert!((tr.voltages[t][0] - exp_v).abs() < 1e-12, "voltage at t={t}");
-            assert_eq!(out[(t, 0)], o, "spike at t={t}");
+            assert!((lt.voltages[(t, 0)] - exp_v).abs() < 1e-12, "voltage at t={t}");
+            assert_eq!(lt.outputs[(t, 0)], o, "spike at t={t}");
         }
     }
 
     #[test]
     fn reset_clears_voltage_contribution() {
         // After a spike, the voltage restarts from the new current alone.
-        let mut l =
-            LifLayer::new(1, 1, LifParams { v_th: 0.5, d_c: 0.0, d_v: 0.9 }, hard(), &mut rng());
-        l.weights = Matrix::filled(1, 1, 0.6); // immediate spike every step? v=0.6>0.5
-        let inputs = Matrix::filled(3, 1, 1.0);
-        let (out, tr) = l.forward(&inputs, true);
-        let tr = tr.unwrap();
+        let tr = drive_one_neuron(
+            |c| {
+                c.timesteps = 3;
+                c.lif = LifParams { v_th: 0.5, d_c: 0.0, d_v: 0.9 };
+            },
+            0.6,
+        );
+        let lt = &tr.layers[0];
         // t0: c=0.6, v=0.6 → spike. t1: c=0.6, v=0.9*0.6*(1-1)+0.6=0.6 → spike.
-        assert_eq!(out.as_slice(), &[1.0, 1.0, 1.0]);
-        assert!((tr.voltages[1][0] - 0.6).abs() < 1e-12);
+        assert_eq!(lt.outputs.as_slice(), &[1.0, 1.0, 1.0]);
+        assert!((lt.voltages[(1, 0)] - 0.6).abs() < 1e-12);
     }
 
     #[test]
     fn trace_shapes_are_consistent() {
-        let l = LifLayer::new(5, 7, LifParams::paper(), hard(), &mut rng());
-        let inputs = Matrix::filled(4, 5, 1.0);
-        let (_, tr) = l.forward(&inputs, true);
-        let tr = tr.unwrap();
-        assert_eq!(tr.len(), 4);
-        assert!(!tr.is_empty());
-        assert_eq!(tr.inputs[0].len(), 5);
-        assert_eq!(tr.voltages[0].len(), 7);
-        assert_eq!(tr.outputs[0].len(), 7);
-    }
-
-    #[test]
-    fn no_record_means_no_trace() {
-        let l = LifLayer::new(3, 3, LifParams::paper(), hard(), &mut rng());
-        let (_, tr) = l.forward(&Matrix::zeros(2, 3), false);
-        assert!(tr.is_none());
+        let mut cfg = SdpNetworkConfig::small(1, 1);
+        cfg.hidden = vec![7];
+        cfg.timesteps = 4;
+        let net = SdpNetwork::new(cfg, &mut rng());
+        let tr = net.forward_one(&[1.0], &mut rng());
+        assert_eq!(tr.timesteps(), 4);
+        assert_eq!(tr.encoder.shape(), (4, 5));
+        let lt = &tr.layers[0];
+        assert_eq!(lt.voltages.shape(), (4, 7));
+        assert_eq!(lt.outputs.shape(), (4, 7));
+        assert_eq!(lt.thresholds.shape(), (4, 7));
+        assert_eq!(lt.output_set.rows(), 4);
     }
 
     #[test]
     fn soft_spikes_are_graded() {
-        let l =
-            LifLayer::new(2, 2, LifParams::paper(), SpikeFn::Soft { temperature: 0.2 }, &mut rng());
-        let (out, _) = l.forward(&Matrix::filled(3, 2, 1.0), false);
+        let tr = drive_one_neuron(
+            |c| {
+                c.timesteps = 3;
+                c.spike_fn = SpikeFn::Soft { temperature: 0.2 };
+            },
+            0.4,
+        );
+        let out = tr.layers[0].outputs.as_slice();
         // Soft outputs are in (0,1), not exactly binary.
-        assert!(out.as_slice().iter().all(|&o| (0.0..=1.0).contains(&o)));
-        assert!(out.as_slice().iter().any(|&o| o > 0.0 && o < 1.0));
+        assert!(out.iter().all(|&o| (0.0..=1.0).contains(&o)));
+        assert!(out.iter().any(|&o| o > 0.0 && o < 1.0));
     }
 }

@@ -13,7 +13,9 @@
 //!   configurable pseudo-gradient (rectangular by default) — [`stbp`],
 //!   [`surrogate`].
 //!
-//! The full policy network is assembled in [`network::SdpNetwork`].
+//! The full policy network is assembled in [`network::SdpNetwork`] and
+//! runs on one batched, event-driven engine — [`batch`] — for training and
+//! inference alike.
 //!
 //! # Example
 //!
@@ -42,12 +44,9 @@ pub mod spikes;
 pub mod stbp;
 pub mod surrogate;
 
-pub use batch::{
-    kernel_path, reset_kernel_path, set_kernel_path, BatchLayerTrace, BatchNetworkTrace,
-    BatchWorkspace, KernelPath,
-};
+pub use batch::{BatchLayerTrace, BatchNetworkTrace, BatchWorkspace};
 pub use encoder::{Encoding, PopulationEncoder, PopulationEncoderConfig};
 pub use network::{SdpNetwork, SdpNetworkConfig};
 pub use neuron::LifParams;
-pub use spikes::{SparseMode, SpikeSet};
+pub use spikes::SpikeSet;
 pub use surrogate::Surrogate;

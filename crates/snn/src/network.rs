@@ -1,12 +1,14 @@
 //! The full SDP policy network: encoder → LIF layers → decoder
 //! (Fig. 1 / Algorithm 1).
 
-use crate::decoder::{Decoder, DecoderTrace};
+use crate::batch::{BatchNetworkTrace, BatchWorkspace};
+use crate::decoder::Decoder;
 use crate::encoder::{PopulationEncoder, PopulationEncoderConfig};
-use crate::layer::{LayerTrace, LifLayer};
+use crate::layer::LifLayer;
 use crate::neuron::{AdaptiveParams, LifParams, SpikeFn};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+use spikefolio_telemetry::NoopRecorder;
 use spikefolio_tensor::Matrix;
 
 /// Configuration of an [`SdpNetwork`].
@@ -111,24 +113,6 @@ impl SpikeStats {
     }
 }
 
-/// Full forward trace for STBP.
-#[derive(Debug, Clone, PartialEq)]
-pub struct NetworkTrace {
-    /// Encoder output raster (`T × encoder_dim`).
-    pub encoder_spikes: Matrix,
-    /// Per-layer traces.
-    pub layers: Vec<LayerTrace>,
-    /// Decoder trace (firing rates + action).
-    pub decoder: DecoderTrace,
-    /// Event counters.
-    pub stats: SpikeStats,
-    /// Spikes emitted by each LIF layer (input-side first); sums to
-    /// [`SpikeStats::neuron_spikes`]. The per-layer resolution feeds the
-    /// spike-activity telemetry (see
-    /// [`SdpNetwork::layer_firing_rates`]).
-    pub layer_spikes: Vec<u64>,
-}
-
 /// The spiking deterministic policy network of Fig. 1.
 ///
 /// See the [crate docs](crate) for an end-to-end example.
@@ -223,83 +207,47 @@ impl SdpNetwork {
         s
     }
 
-    /// Full forward pass with trace recording (Algorithm 1).
-    ///
-    /// Returns `(action, trace)`; the action is on the probability simplex.
+    /// Inference for one state: a batch-of-one
+    /// [`forward_batch`](Self::forward_batch). The action is on the
+    /// probability simplex.
     ///
     /// # Panics
     ///
     /// Panics if `state.len() != config.state_dim`.
-    pub fn forward<R: Rng + ?Sized>(&self, state: &[f64], rng: &mut R) -> (Vec<f64>, NetworkTrace) {
-        self.run(state, rng, true)
-    }
-
-    /// Inference-only forward pass (no trace allocation beyond counters).
     pub fn act<R: Rng + ?Sized>(&self, state: &[f64], rng: &mut R) -> Vec<f64> {
-        self.run(state, rng, false).0
+        self.act_with_stats(state, rng).0
     }
 
     /// Inference with event statistics — used by the energy model.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `state.len() != config.state_dim`.
     pub fn act_with_stats<R: Rng + ?Sized>(
         &self,
         state: &[f64],
         rng: &mut R,
     ) -> (Vec<f64>, SpikeStats) {
-        let (action, trace) = self.run(state, rng, false);
-        (action, trace.stats)
+        let trace = self.forward_one(state, rng);
+        (trace.action(0).to_vec(), trace.stats)
     }
 
-    fn run<R: Rng + ?Sized>(
+    /// The full batch-of-one trace of `state`, encoded with `rng`.
+    pub(crate) fn forward_one<R: Rng + ?Sized>(
         &self,
         state: &[f64],
         rng: &mut R,
-        record: bool,
-    ) -> (Vec<f64>, NetworkTrace) {
-        let t_max = self.config.timesteps;
-        let enc = self.encoder.encode(state, t_max, rng);
-        let mut stats = SpikeStats {
-            encoder_spikes: enc.as_slice().iter().filter(|&&s| s > 0.0).count() as u64,
-            ..Default::default()
-        };
-
-        let mut raster = enc.clone();
-        let mut layer_traces = Vec::with_capacity(self.layers.len());
-        let mut layer_spikes = Vec::with_capacity(self.layers.len());
-        for layer in &self.layers {
-            // Synops: every incoming spike fans out to all `out_dim` neurons.
-            let in_spikes = raster.as_slice().iter().filter(|&&s| s > 0.0).count() as u64;
-            stats.synops += in_spikes * layer.out_dim() as u64;
-            stats.neuron_updates += (layer.out_dim() * t_max) as u64;
-            let (out, tr) = layer.forward(&raster, record);
-            let out_spikes = out.as_slice().iter().filter(|&&s| s > 0.0).count() as u64;
-            stats.neuron_spikes += out_spikes;
-            layer_spikes.push(out_spikes);
-            if let Some(tr) = tr {
-                layer_traces.push(tr);
-            }
-            raster = out;
-        }
-
-        // Σ_t o(t) over the last layer.
-        let out_dim = raster.cols();
-        let mut sums = vec![0.0; out_dim];
-        for t in 0..raster.rows() {
-            for (s, &o) in sums.iter_mut().zip(raster.row(t)) {
-                *s += o;
-            }
-        }
-        let dec = self.decoder.decode(&sums);
-        let action = dec.action.clone();
-        (
-            action,
-            NetworkTrace {
-                encoder_spikes: enc,
-                layers: layer_traces,
-                decoder: dec,
-                stats,
-                layer_spikes,
-            },
-        )
+    ) -> BatchNetworkTrace {
+        let mut ws = BatchWorkspace::new(self, 1);
+        let mut trace = BatchNetworkTrace::new(self, 1);
+        self.forward_batch(
+            &Matrix::from_rows(&[state]),
+            &mut [rng],
+            &mut ws,
+            &mut trace,
+            &mut NoopRecorder,
+        );
+        trace
     }
 
     /// Converts per-layer spike counts (summed over `samples` forward
@@ -388,12 +336,13 @@ mod tests {
     #[test]
     fn trace_covers_all_layers_and_timesteps() {
         let net = small_net();
-        let (_, tr) = net.forward(&[1.0, 1.0, 1.0, 1.0], &mut rng());
+        let tr = net.forward_one(&[1.0, 1.0, 1.0, 1.0], &mut rng());
         assert_eq!(tr.layers.len(), net.depth());
-        for lt in &tr.layers {
-            assert_eq!(lt.len(), net.config().timesteps);
+        for (lt, layer) in tr.layers.iter().zip(&net.layers) {
+            assert_eq!(lt.voltages.shape(), (net.config().timesteps, layer.out_dim()));
+            assert_eq!(lt.output_set.rows(), net.config().timesteps);
         }
-        assert_eq!(tr.encoder_spikes.rows(), net.config().timesteps);
+        assert_eq!(tr.encoder.rows(), net.config().timesteps);
     }
 
     #[test]

@@ -3,12 +3,12 @@
 //! Re-exports the compact event representation from
 //! [`spikefolio_tensor::sparse`] and anchors its contract at the SNN
 //! level: every spike raster produced by the [`crate::encoder`] or a
-//! [`crate::layer::LifLayer`] can be viewed as a [`SpikeSet`] — per row,
+//! [`crate::layer::LifLayer`] in the [`crate::batch`] engine can be viewed as a [`SpikeSet`] — per row,
 //! the ascending indices of the neurons that fired — and that view is
 //! what the event-driven batched kernels ([`crate::batch`],
 //! [`crate::stbp`]) consume instead of scanning the dense matrix.
 
-pub use spikefolio_tensor::sparse::{SparseMode, SpikeSet};
+pub use spikefolio_tensor::sparse::SpikeSet;
 
 use spikefolio_tensor::Matrix;
 
@@ -23,8 +23,7 @@ pub fn raster_spike_set(raster: &Matrix) -> SpikeSet {
 mod tests {
     use super::*;
     use crate::encoder::{Encoding, PopulationEncoder, PopulationEncoderConfig};
-    use crate::layer::LifLayer;
-    use crate::neuron::{LifParams, SpikeFn};
+    use crate::network::{SdpNetwork, SdpNetworkConfig};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -51,20 +50,19 @@ mod tests {
     #[test]
     fn layer_raster_round_trips_through_the_set() {
         let mut rng = StdRng::seed_from_u64(3);
-        let layer = LifLayer::new(
-            12,
-            5,
-            LifParams::paper(),
-            SpikeFn::Hard { surrogate: crate::surrogate::Surrogate::paper_rectangular() },
-            &mut rng,
-        );
-        let enc = encoder(Encoding::Deterministic); // 3 dims × 4 = 12 = layer input
-        let raster = enc.encode(&[1.0, 0.95, 1.05], 7, &mut rng);
-        let (out, _) = layer.forward(&raster, false);
-        let set = raster_spike_set(&out);
-        assert_eq!(set.occupancy(), out);
-        let spikes = out.as_slice().iter().filter(|&&s| s > 0.0).count() as u64;
-        assert_eq!(set.nnz(), spikes, "event count must equal the spike count");
+        let mut cfg = SdpNetworkConfig::small(3, 2);
+        cfg.hidden = vec![5];
+        cfg.timesteps = 7;
+        let net = SdpNetwork::new(cfg, &mut rng);
+        let trace = net.forward_one(&[1.0, 0.95, 1.05], &mut rng);
+        for lt in &trace.layers {
+            let out = &lt.outputs;
+            let set = raster_spike_set(out);
+            assert_eq!(&set.occupancy(), out);
+            assert_eq!(set, lt.output_set, "the engine's incremental set must match");
+            let spikes = out.as_slice().iter().filter(|&&s| s > 0.0).count() as u64;
+            assert_eq!(set.nnz(), spikes, "event count must equal the spike count");
+        }
     }
 
     #[test]

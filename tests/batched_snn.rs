@@ -1,5 +1,5 @@
-//! Equivalence, gradient-correctness, property, and regression tests for
-//! the batched SNN execution engine (`SdpNetwork::forward_batch` /
+//! Grouping-invariance, gradient-correctness, property, and regression
+//! tests for the SNN execution engine (`SdpNetwork::forward_batch` /
 //! `stbp::backward_batch`).
 
 use proptest::prelude::*;
@@ -13,6 +13,7 @@ use spikefolio_snn::network::{SdpNetwork, SdpNetworkConfig};
 use spikefolio_snn::neuron::SpikeFn;
 use spikefolio_snn::stbp;
 use spikefolio_snn::{BatchNetworkTrace, BatchWorkspace};
+use spikefolio_telemetry::NoopRecorder;
 use spikefolio_tensor::Matrix;
 
 const TOL: f64 = 1e-12;
@@ -29,9 +30,29 @@ fn states(batch: usize, dim: usize) -> Matrix {
     Matrix::from_fn(batch, dim, |b, d| 0.7 + 0.04 * ((b * dim + d) % 17) as f64)
 }
 
-/// Runs the batched forward + backward and the per-sample reference
-/// (identical per-sample encoder seeds) and compares actions exactly and
-/// every gradient block within `TOL`.
+/// Forward + backward of `st` (sample `b` encoded with seed `seeds[b]`)
+/// as one batch; returns the actions and the summed gradients.
+fn forward_backward(
+    net: &SdpNetwork,
+    st: &Matrix,
+    seeds: &[u64],
+    d_actions: &Matrix,
+    rate_penalty: f64,
+) -> (Matrix, stbp::SdpGradients) {
+    let batch = st.rows();
+    let mut ws = BatchWorkspace::new(net, batch);
+    let mut trace = BatchNetworkTrace::new(net, batch);
+    let mut rngs: Vec<StdRng> = seeds.iter().map(|&s| StdRng::seed_from_u64(s)).collect();
+    net.forward_batch(st, &mut rngs, &mut ws, &mut trace, &mut NoopRecorder);
+    let grads =
+        stbp::backward_batch(net, &trace, d_actions, rate_penalty, &mut ws, &mut NoopRecorder);
+    (trace.actions, grads)
+}
+
+/// Grouping invariance: one batch of `n` against `n` separate batches of
+/// one with the same per-sample encoder seeds. Actions must match exactly
+/// and every gradient block within `TOL` (only the `(t, b)` summation
+/// order of the weight gradients differs).
 fn check_equivalence(encoding: Encoding) {
     let net = small_net(encoding);
     let dim = net.config().state_dim;
@@ -39,26 +60,19 @@ fn check_equivalence(encoding: Encoding) {
     for &batch in &[1usize, 3, 32] {
         let st = states(batch, dim);
         let d_actions = Matrix::from_fn(batch, 3, |b, a| 0.2 - 0.1 * a as f64 + 0.01 * b as f64);
-
-        let mut ws = BatchWorkspace::new(&net, batch);
-        let mut trace = BatchNetworkTrace::new(&net, batch);
-        let mut rngs: Vec<StdRng> =
-            (0..batch).map(|b| StdRng::seed_from_u64(1000 + b as u64)).collect();
-        net.forward_batch(&st, &mut rngs, &mut ws, &mut trace);
-        let batched = stbp::backward_batch(&net, &trace, &d_actions, rate_penalty, &mut ws);
+        let seeds: Vec<u64> = (0..batch).map(|b| 1000 + b as u64).collect();
+        let (actions, batched) = forward_backward(&net, &st, &seeds, &d_actions, rate_penalty);
 
         let mut reference = stbp::SdpGradients::zeros_like(&net);
         for b in 0..batch {
-            let mut r = StdRng::seed_from_u64(1000 + b as u64);
-            let (action, tr) = net.forward(st.row(b), &mut r);
-            // Actions must match the per-sample path exactly, not just
-            // within tolerance.
-            assert_eq!(
-                trace.action(b),
-                action.as_slice(),
-                "batch {batch} sample {b}: action mismatch ({encoding:?})"
-            );
-            let g = stbp::backward_with_rate_penalty(&net, &tr, d_actions.row(b), rate_penalty);
+            let one = |m: &Matrix| Matrix::from_rows(&[m.row(b)]);
+            let (action, g) =
+                forward_backward(&net, &one(&st), &seeds[b..=b], &one(&d_actions), rate_penalty);
+            // Actions must match exactly, not just within tolerance — and
+            // so must `act`, the batch-of-one entry point.
+            assert_eq!(actions.row(b), action.row(0), "batch {batch} sample {b} ({encoding:?})");
+            let acted = net.act(st.row(b), &mut StdRng::seed_from_u64(seeds[b]));
+            assert_eq!(acted.as_slice(), action.row(0), "act, sample {b} ({encoding:?})");
             reference.accumulate(&g);
         }
 
@@ -102,7 +116,7 @@ fn batched_loss(net: &SdpNetwork, st: &Matrix, c: &Matrix) -> f64 {
     let mut ws = BatchWorkspace::new(net, batch);
     let mut trace = BatchNetworkTrace::new(net, batch);
     let mut rngs: Vec<StdRng> = (0..batch).map(|b| StdRng::seed_from_u64(b as u64)).collect();
-    net.forward_batch(st, &mut rngs, &mut ws, &mut trace);
+    net.forward_batch(st, &mut rngs, &mut ws, &mut trace, &mut NoopRecorder);
     (0..batch).map(|b| trace.action(b).iter().zip(c.row(b)).map(|(x, y)| x * y).sum::<f64>()).sum()
 }
 
@@ -126,8 +140,8 @@ fn backward_batch_matches_finite_differences_on_soft_network() {
     let mut ws = BatchWorkspace::new(&net, batch);
     let mut trace = BatchNetworkTrace::new(&net, batch);
     let mut rngs: Vec<StdRng> = (0..batch).map(|b| StdRng::seed_from_u64(b as u64)).collect();
-    net.forward_batch(&st, &mut rngs, &mut ws, &mut trace);
-    let grads = stbp::backward_batch(&net, &trace, &c, 0.0, &mut ws);
+    net.forward_batch(&st, &mut rngs, &mut ws, &mut trace, &mut NoopRecorder);
+    let grads = stbp::backward_batch(&net, &trace, &c, 0.0, &mut ws, &mut NoopRecorder);
     let analytic = stbp::flat_grads(&grads);
     let params = stbp::flat_params(&net);
     assert_eq!(analytic.len(), params.len());
@@ -183,7 +197,7 @@ proptest! {
         let mut trace = BatchNetworkTrace::new(&net, batch);
         let mut rngs: Vec<StdRng> =
             (0..batch).map(|b| StdRng::seed_from_u64(seed ^ b as u64)).collect();
-        net.forward_batch(&st, &mut rngs, &mut ws, &mut trace);
+        net.forward_batch(&st, &mut rngs, &mut ws, &mut trace, &mut NoopRecorder);
         for b in 0..batch {
             prop_assert!(
                 spikefolio_tensor::simplex::is_on_simplex(trace.action(b), 1e-9),
@@ -217,7 +231,7 @@ fn checkpoint_roundtrip_preserves_batched_forward_bitwise() {
         let mut ws = BatchWorkspace::new(net, batch);
         let mut trace = BatchNetworkTrace::new(net, batch);
         let mut rngs: Vec<StdRng> = (0..batch).map(|b| StdRng::seed_from_u64(b as u64)).collect();
-        net.forward_batch(&st, &mut rngs, &mut ws, &mut trace);
+        net.forward_batch(&st, &mut rngs, &mut ws, &mut trace, &mut NoopRecorder);
         (0..batch).map(|b| trace.action(b).to_vec()).collect()
     };
     let original = run(&agent.network);

@@ -11,8 +11,8 @@ use spikefolio::serving::{
     run_loadgen_smoke, write_reference_checkpoint, BackendKind, CheckpointBackendLoader,
 };
 use spikefolio_serve::{
-    InferenceBackend, InferenceRequest, LatencyHistogram, ModelLoader, ModelStore, Server,
-    ServerOptions, Service, ServiceConfig,
+    BatchPolicy, HealthConfig, InferenceBackend, InferenceRequest, LatencyHistogram, ModelLoader,
+    ModelStore, Server, ServerOptions, Service, ServiceConfig,
 };
 use spikefolio_telemetry::value::{parse, Value};
 use std::io::{BufRead, BufReader, Write as _};
@@ -47,6 +47,34 @@ fn loadgen_smoke_flow_passes() {
     assert_eq!(outcome.report.served, outcome.report.requests);
     assert_eq!(outcome.report.deterministic, Some(true), "responses not bitwise identical");
     assert!(outcome.passed(), "{}", outcome.report.render());
+}
+
+// ------------------------------------------------- singleton batches
+
+#[test]
+fn singleton_batches_refresh_layer_firing_rates() {
+    // At low traffic every micro-batch holds one request. Those batches
+    // must still refresh the firing rates the drift monitor and the health
+    // baseline read; a one-sample probe keeps the baseline singleton too.
+    let ckpt = temp_ckpt("singleton", 3);
+    let store = Arc::new(ModelStore::open(Box::new(loader()), &ckpt).expect("open store"));
+    let config = ServiceConfig {
+        batch: BatchPolicy { max_batch: 1, max_wait_us: 0 },
+        health: HealthConfig { probe_samples: 1, ..HealthConfig::default() },
+        ..ServiceConfig::default()
+    };
+    let service = Service::start(Arc::clone(&store), config);
+    let dim = store.current().backend.state_dim();
+    for i in 0..3u64 {
+        let request =
+            InferenceRequest { id: i, state: fixed_state(dim), seed: i, deadline: None, corr: 0 };
+        service.call(request).expect("served");
+        let rates = store.current().backend.layer_firing_rates();
+        let rates = rates.expect("a singleton batch must refresh the firing rates");
+        assert!(!rates.is_empty() && rates.iter().all(|r| (0.0..=1.0).contains(r)), "{rates:?}");
+    }
+    assert_eq!(service.stats().max_batch, 1, "every batch must have been a singleton");
+    service.shutdown();
 }
 
 // ------------------------------------------------------- hot swap (sat 6)

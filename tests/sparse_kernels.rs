@@ -3,18 +3,16 @@
 //! Locks the sparse path to the dense reference at three levels:
 //!
 //! * **Network level** — batched forward traces and backward gradients at
-//!   b1/b8/b32 are *bitwise* equal between [`KernelPath::Dense`] and
-//!   [`KernelPath::Sparse`] in the default bitwise mode, for hard, soft,
-//!   and adaptive (ALIF) networks.
+//!   b1/b8/b32 are *bitwise* equal between a default workspace and one
+//!   built with [`BatchWorkspace::dense_reference`], for hard, soft, and
+//!   adaptive (ALIF) networks.
 //! * **Training level** — thread-count invariance holds on the sparse
-//!   path, and a short seeded Table-3 slice trained end-to-end lands on
-//!   bit-identical final weights whichever path the trainer runs.
+//!   path, and a short seeded training loop on Table-3 slice states lands
+//!   on bit-identical final weights with either kernel set.
 //! * **Kernel level** — a proptest battery over adversarial spike
 //!   patterns (all-zero timesteps, fully-dense timesteps, single-neuron
 //!   spikes, ragged per-sample sparsity) pins `spike_drive` /
-//!   `spike_outer_acc` to the dense GEMMs: bitwise in
-//!   [`SparseMode::Bitwise`], ≤1e-6 relative in
-//!   [`SparseMode::FastMath`].
+//!   `spike_outer_acc` bitwise to the dense GEMMs.
 //!
 //! The accounting test closes the loop the CI bench smoke also checks:
 //! the event count tallied by the kernels while propagating spikes must
@@ -31,10 +29,10 @@ use spikefolio_profile::CostReport;
 use spikefolio_snn::encoder::Encoding;
 use spikefolio_snn::network::{SdpNetwork, SdpNetworkConfig};
 use spikefolio_snn::neuron::SpikeFn;
-use spikefolio_snn::{
-    reset_kernel_path, set_kernel_path, stbp, BatchNetworkTrace, BatchWorkspace, KernelPath,
-    SparseMode, SpikeSet,
-};
+use spikefolio_snn::stbp::SdpTrainer;
+use spikefolio_snn::{stbp, BatchNetworkTrace, BatchWorkspace, SpikeSet};
+use spikefolio_telemetry::NoopRecorder;
+use spikefolio_tensor::optim::Adam;
 use spikefolio_tensor::{gemm, sparse, Matrix};
 
 const BATCHES: [usize; 3] = [1, 8, 32];
@@ -80,19 +78,15 @@ fn nets() -> Vec<(&'static str, SdpNetwork)> {
     vec![("hard", hard), ("probabilistic", prob), ("soft", soft), ("alif", alif)]
 }
 
-/// Runs forward on both paths with identical seeded RNGs and returns the
-/// two traces.
-fn forward_both(
-    net: &SdpNetwork,
-    batch: usize,
-    path: KernelPath,
-) -> (BatchNetworkTrace, BatchWorkspace) {
+/// Runs the pinned forward pass on `ws` (sample `b` seeded `1000 + b`)
+/// and returns the trace and the workspace.
+fn forward_on(net: &SdpNetwork, mut ws: BatchWorkspace) -> (BatchNetworkTrace, BatchWorkspace) {
+    let batch = ws.batch();
     let st = states(batch, net.config().state_dim);
-    let mut ws = BatchWorkspace::new(net, batch);
     let mut trace = BatchNetworkTrace::new(net, batch);
     let mut rngs: Vec<StdRng> =
         (0..batch).map(|b| StdRng::seed_from_u64(1000 + b as u64)).collect();
-    net.forward_batch_with(&st, &mut rngs, &mut ws, &mut trace, path);
+    net.forward_batch(&st, &mut rngs, &mut ws, &mut trace, &mut NoopRecorder);
     (trace, ws)
 }
 
@@ -100,8 +94,8 @@ fn forward_both(
 fn forward_traces_are_bitwise_equal_at_all_batch_sizes() {
     for (kind, net) in nets() {
         for batch in BATCHES {
-            let (dense, _) = forward_both(&net, batch, KernelPath::Dense);
-            let (sparse_t, _) = forward_both(&net, batch, KernelPath::Sparse(SparseMode::Bitwise));
+            let (dense, _) = forward_on(&net, BatchWorkspace::dense_reference(&net, batch));
+            let (sparse_t, _) = forward_on(&net, BatchWorkspace::new(&net, batch));
             // Whole-trace equality: voltages, thresholds, spikes, spike
             // sets, actions, stats, and the kernel event tally.
             assert_eq!(sparse_t, dense, "{kind} net, batch {batch}");
@@ -114,26 +108,20 @@ fn forward_traces_are_bitwise_equal_at_all_batch_sizes() {
 fn backward_gradients_are_bitwise_equal_at_all_batch_sizes() {
     for (kind, net) in nets() {
         for batch in BATCHES {
-            let (trace, mut ws) =
-                forward_both(&net, batch, KernelPath::Sparse(SparseMode::Bitwise));
+            let (trace, mut ws) = forward_on(&net, BatchWorkspace::new(&net, batch));
+            let mut dense_ws = BatchWorkspace::dense_reference(&net, batch);
             let d_actions =
                 Matrix::from_fn(batch, 3, |b, a| 0.2 - 0.1 * a as f64 + 0.01 * b as f64);
-            let dense = stbp::backward_batch_with(
+            let dense = stbp::backward_batch(
                 &net,
                 &trace,
                 &d_actions,
                 0.05,
-                &mut ws,
-                KernelPath::Dense,
+                &mut dense_ws,
+                &mut NoopRecorder,
             );
-            let sparse_g = stbp::backward_batch_with(
-                &net,
-                &trace,
-                &d_actions,
-                0.05,
-                &mut ws,
-                KernelPath::Sparse(SparseMode::Bitwise),
-            );
+            let sparse_g =
+                stbp::backward_batch(&net, &trace, &d_actions, 0.05, &mut ws, &mut NoopRecorder);
             assert_eq!(
                 stbp::flat_grads(&sparse_g),
                 stbp::flat_grads(&dense),
@@ -168,43 +156,67 @@ fn training_is_thread_count_invariant_on_the_sparse_path() {
 
 #[test]
 fn trained_model_regression_sparse_equals_dense_on_table3_slice() {
-    // Drive a full end-to-end training run (short seeded Table-3 slice)
-    // down each kernel path via the process-global override — the only
-    // lever for code that exposes just the default entry points. Safe
-    // concurrently: both paths are bit-identical.
+    // A short seeded training loop (forward → STBP → Adam) on states of a
+    // Table-3 slice, run once on the event-driven kernels and once on the
+    // dense reference. Both the reward curves and the final weights must
+    // match bitwise.
     let (train, _) = ExperimentPreset::experiment1().shrunk(30, 8).generate_split(11);
-    let mut cfg = SdpConfig::smoke();
-    cfg.training.epochs = 2;
-    cfg.training.steps_per_epoch = 5;
-    cfg.training.batch_size = 6;
-    let run = |path: Option<KernelPath>| {
-        match path {
-            Some(p) => set_kernel_path(p),
-            None => reset_kernel_path(),
+    let cfg = SdpConfig::smoke();
+    let agent = SdpAgent::new(&cfg, train.num_assets(), 3);
+    let (batch, steps) = (6, 10);
+    let w = vec![1.0 / (train.num_assets() + 1) as f64; train.num_assets() + 1];
+    let t0 = agent.state_builder().min_period().max(1);
+    let span = train.num_periods() - 1 - t0;
+    let periods: Vec<usize> = (0..batch * steps).map(|i| t0 + (i * 7) % span).collect();
+    let dim = agent.network.config().state_dim;
+    let run = |mut ws: BatchWorkspace| {
+        let mut net = agent.network.clone();
+        let mut trainer = SdpTrainer::new(&net, Adam::new(cfg.training.learning_rate));
+        let mut trace = BatchNetworkTrace::new(&net, batch);
+        let mut rewards = Vec::with_capacity(steps);
+        for step in periods.chunks(batch) {
+            let rows: Vec<Vec<f64>> = step.iter().map(|&t| agent.state(&train, t, &w)).collect();
+            let st = Matrix::from_fn(batch, dim, |b, d| rows[b][d]);
+            let mut rngs: Vec<StdRng> =
+                step.iter().map(|&t| StdRng::seed_from_u64(t as u64)).collect();
+            net.forward_batch(&st, &mut rngs, &mut ws, &mut trace, &mut NoopRecorder);
+            // Descend on the negated log return −ln(a·y) of each sample.
+            let mut d_actions = Matrix::zeros(batch, w.len());
+            let mut reward = 0.0;
+            for (b, &t) in step.iter().enumerate() {
+                let y = train.price_relatives_with_cash(t + 1);
+                let growth: f64 = trace.action(b).iter().zip(&y).map(|(a, y)| a * y).sum();
+                reward += growth.ln();
+                for (d, y) in d_actions.row_mut(b).iter_mut().zip(&y) {
+                    *d = -y / growth;
+                }
+            }
+            rewards.push(reward);
+            let mut grads = stbp::backward_batch(
+                &net,
+                &trace,
+                &d_actions,
+                cfg.training.rate_penalty,
+                &mut ws,
+                &mut NoopRecorder,
+            );
+            grads.scale(1.0 / batch as f64);
+            trainer.apply(&mut net, &grads);
         }
-        let mut agent = SdpAgent::new(&cfg, train.num_assets(), 3);
-        let log = Trainer::new(&cfg).train_sdp(&mut agent, &train);
-        reset_kernel_path();
-        (stbp::flat_params(&agent.network), log.epoch_rewards)
+        (stbp::flat_params(&net), rewards)
     };
-    let (dense_params, dense_rewards) = run(Some(KernelPath::Dense));
-    let (sparse_params, sparse_rewards) = run(Some(KernelPath::Sparse(SparseMode::Bitwise)));
-    let (default_params, default_rewards) = run(None);
+    let (dense_params, dense_rewards) = run(BatchWorkspace::dense_reference(&agent.network, batch));
+    let (sparse_params, sparse_rewards) = run(BatchWorkspace::new(&agent.network, batch));
     assert_eq!(sparse_rewards, dense_rewards, "training curves must match bitwise");
     assert_eq!(sparse_params, dense_params, "final weights must match bitwise");
-    // The default path must be one of the two verified paths (sparse
-    // bitwise unless the fast-math env flag was set for this run).
-    if std::env::var("SPIKEFOLIO_FAST_MATH").is_err() {
-        assert_eq!(default_params, dense_params, "default path drifted from the references");
-        assert_eq!(default_rewards, dense_rewards);
-    }
+    assert_ne!(sparse_params, stbp::flat_params(&agent.network), "training must move the weights");
 }
 
 #[test]
 fn kernel_event_tally_matches_cost_model_synops() {
     let net = SdpNetwork::new(SdpNetworkConfig::small(16, 4), &mut StdRng::seed_from_u64(2016));
     let batch = 32;
-    let (trace, _) = forward_both(&net, batch, KernelPath::Sparse(SparseMode::Bitwise));
+    let (trace, _) = forward_on(&net, BatchWorkspace::new(&net, batch));
     // Three independent tallies of the same quantity: the kernels' own
     // running count, the stats recomputation from the dense rasters, and
     // the cost model fed by per-layer spike counts.
@@ -277,8 +289,7 @@ fn weights(out_dim: usize, in_dim: usize, seed: u64) -> Matrix {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// `spike_drive` equals `gemm_nt` bitwise in the default mode, and to
-    /// ≤1e-6 relative error in fast-math mode, over every adversarial
+    /// `spike_drive` equals `gemm_nt` bitwise over every adversarial
     /// pattern family.
     #[test]
     fn drive_matches_dense_over_adversarial_patterns(
@@ -299,31 +310,20 @@ proptest! {
             let mut dense = vec![0.0; bsz * out_dim];
             gemm::gemm_nt(block, w.as_slice(), &mut dense, bsz, in_dim, out_dim);
 
-            let mut bitwise = vec![f64::NAN; bsz * out_dim];
+            let mut sparse_out = vec![f64::NAN; bsz * out_dim];
             let synops = sparse::spike_drive(
-                block, &set, t * bsz, wt.as_slice(), &mut bitwise,
-                bsz, in_dim, out_dim, SparseMode::Bitwise,
+                block, &set, t * bsz, wt.as_slice(), &mut sparse_out,
+                bsz, in_dim, out_dim,
             );
-            prop_assert_eq!(&bitwise, &dense);
+            prop_assert_eq!(&sparse_out, &dense);
             let events: u64 =
                 (0..bsz).map(|b| set.row(t * bsz + b).len() as u64).sum();
             prop_assert_eq!(synops, events * out_dim as u64);
-
-            let mut fast = vec![f64::NAN; bsz * out_dim];
-            sparse::spike_drive(
-                block, &set, t * bsz, wt.as_slice(), &mut fast,
-                bsz, in_dim, out_dim, SparseMode::FastMath,
-            );
-            for (f, d) in fast.iter().zip(&dense) {
-                let rel = (f - d).abs() / (1.0 + d.abs());
-                prop_assert!(rel <= 1e-6, "fast-math drift {} vs {} (pattern {})", f, d, pattern);
-            }
         }
     }
 
     /// `spike_outer_acc` equals `gemm_tn_acc` bitwise over every
-    /// adversarial pattern family (both modes share one code path — there
-    /// is no per-element reduction to reorder).
+    /// adversarial pattern family.
     #[test]
     fn weight_grad_matches_dense_over_adversarial_patterns(
         pattern in 0usize..4,
