@@ -34,6 +34,28 @@ cargo test -q -p spikefolio --test sparse_kernels
 echo "==> cargo bench --no-run (benches must keep compiling)"
 cargo bench --no-run --workspace
 
+echo "==> benchmark crate (own workspace, so the steps above never build it)"
+cargo test --release --offline --manifest-path e2ebench/Cargo.toml
+# One short run per workload checks each output against its pinned
+# reference digest: scenario-matrix trains all four learners (SDP, DRL,
+# EIIE, DDPG); desk-rounds pins the SDP checkpoint layout and CRC.
+mkdir -p target
+for workload in scenario-matrix desk-rounds; do
+  cargo run --release --quiet --offline --manifest-path e2ebench/Cargo.toml -- \
+    --workload "$workload" --seed 0 --seconds 1 --trace 0 \
+    > "target/e2ebench_$workload.out" 2> "target/e2ebench_$workload.err" \
+    || { cat "target/e2ebench_$workload.err"; exit 1; }
+  python3 - "$workload" <<'PYEOF'
+import json, sys
+workload = sys.argv[1]
+lines = open(f"target/e2ebench_{workload}.out").read().strip().splitlines()
+d = json.loads(lines[-1])
+assert d.get("correct") is True, f"{workload}: output differs from its reference: {d}"
+assert d.get("failed") == 0, f"{workload}: {d.get('failed')} failed operations"
+print(f"    {workload}: correct, {d['attempted']} attempted, 0 failed")
+PYEOF
+done
+
 echo "==> bench-baseline smoke (pin + self-compare must pass)"
 mkdir -p target
 cargo run --release -q --bin spikefolio -- bench run --smoke --seed 7 \

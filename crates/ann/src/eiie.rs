@@ -15,7 +15,7 @@
 use crate::conv::{Conv1d, Conv1dGradients};
 use rand::Rng;
 use spikefolio_tensor::ops::{softmax, softmax_backward};
-use spikefolio_tensor::optim::{Optimizer, ParamSlot};
+use spikefolio_tensor::optim::Params;
 use spikefolio_tensor::{vector, Matrix};
 
 /// Shape of an EIIE network.
@@ -120,40 +120,58 @@ pub struct EiieGradients {
     pub d_cash_bias: f64,
 }
 
-impl EiieGradients {
-    /// Accumulates `other` into `self`.
-    pub fn accumulate(&mut self, other: &EiieGradients) {
-        self.conv1.d_weights.add_scaled(1.0, &other.conv1.d_weights);
-        vector::axpy(&mut self.conv1.d_bias, 1.0, &other.conv1.d_bias);
-        self.conv2.d_weights.add_scaled(1.0, &other.conv2.d_weights);
-        vector::axpy(&mut self.conv2.d_bias, 1.0, &other.conv2.d_bias);
-        vector::axpy(&mut self.d_head, 1.0, &other.d_head);
-        self.d_head_bias += other.d_head_bias;
-        self.d_cash_bias += other.d_cash_bias;
+/// Buffer order — conv1 weights and bias, conv2 weights and bias, the
+/// scoring head, its bias, then the cash bias — is the EIIE flat layout.
+impl Params for Eiie {
+    fn buffers(&self) -> Vec<&[f64]> {
+        vec![
+            self.conv1.weights.as_slice(),
+            &self.conv1.bias,
+            self.conv2.weights.as_slice(),
+            &self.conv2.bias,
+            &self.head,
+            std::slice::from_ref(&self.head_bias),
+            std::slice::from_ref(&self.cash_bias),
+        ]
     }
 
-    /// Scales every gradient by `alpha`.
-    pub fn scale(&mut self, alpha: f64) {
-        self.conv1.d_weights.scale(alpha);
-        self.conv1.d_bias.iter_mut().for_each(|g| *g *= alpha);
-        self.conv2.d_weights.scale(alpha);
-        self.conv2.d_bias.iter_mut().for_each(|g| *g *= alpha);
-        self.d_head.iter_mut().for_each(|g| *g *= alpha);
-        self.d_head_bias *= alpha;
-        self.d_cash_bias *= alpha;
+    fn buffers_mut(&mut self) -> Vec<&mut [f64]> {
+        vec![
+            self.conv1.weights.as_mut_slice(),
+            &mut self.conv1.bias,
+            self.conv2.weights.as_mut_slice(),
+            &mut self.conv2.bias,
+            &mut self.head,
+            std::slice::from_mut(&mut self.head_bias),
+            std::slice::from_mut(&mut self.cash_bias),
+        ]
+    }
+}
+
+/// Same buffer order as the [`Eiie`] they were computed for.
+impl Params for EiieGradients {
+    fn buffers(&self) -> Vec<&[f64]> {
+        vec![
+            self.conv1.d_weights.as_slice(),
+            &self.conv1.d_bias,
+            self.conv2.d_weights.as_slice(),
+            &self.conv2.d_bias,
+            &self.d_head,
+            std::slice::from_ref(&self.d_head_bias),
+            std::slice::from_ref(&self.d_cash_bias),
+        ]
     }
 
-    /// Global L2 norm over every parameter gradient.
-    pub fn global_norm(&self) -> f64 {
-        let mut sq = 0.0;
-        for conv in [&self.conv1, &self.conv2] {
-            sq += conv.d_weights.as_slice().iter().map(|g| g * g).sum::<f64>();
-            sq += conv.d_bias.iter().map(|g| g * g).sum::<f64>();
-        }
-        sq += self.d_head.iter().map(|g| g * g).sum::<f64>();
-        sq += self.d_head_bias * self.d_head_bias;
-        sq += self.d_cash_bias * self.d_cash_bias;
-        sq.sqrt()
+    fn buffers_mut(&mut self) -> Vec<&mut [f64]> {
+        vec![
+            self.conv1.d_weights.as_mut_slice(),
+            &mut self.conv1.d_bias,
+            self.conv2.d_weights.as_mut_slice(),
+            &mut self.conv2.d_bias,
+            &mut self.d_head,
+            std::slice::from_mut(&mut self.d_head_bias),
+            std::slice::from_mut(&mut self.d_cash_bias),
+        ]
     }
 }
 
@@ -289,117 +307,13 @@ impl Eiie {
         }
         grads
     }
-
-    /// Flattens all parameters (test helper; order matches
-    /// [`set_flat_params`](Self::set_flat_params)).
-    pub fn flat_params(&self) -> Vec<f64> {
-        let mut v = Vec::new();
-        v.extend_from_slice(self.conv1.weights.as_slice());
-        v.extend_from_slice(&self.conv1.bias);
-        v.extend_from_slice(self.conv2.weights.as_slice());
-        v.extend_from_slice(&self.conv2.bias);
-        v.extend_from_slice(&self.head);
-        v.push(self.head_bias);
-        v.push(self.cash_bias);
-        v
-    }
-
-    /// Restores parameters from a flat vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the length doesn't match.
-    pub fn set_flat_params(&mut self, flat: &[f64]) {
-        let mut idx = 0;
-        let mut take = |n: usize| {
-            let s = &flat[idx..idx + n];
-            idx += n;
-            s.to_vec()
-        };
-        let w1 = take(self.conv1.weights.len());
-        self.conv1.weights.as_mut_slice().copy_from_slice(&w1);
-        self.conv1.bias = take(self.conv1.bias.len());
-        let w2 = take(self.conv2.weights.len());
-        self.conv2.weights.as_mut_slice().copy_from_slice(&w2);
-        self.conv2.bias = take(self.conv2.bias.len());
-        self.head = take(self.head.len());
-        self.head_bias = take(1)[0];
-        self.cash_bias = take(1)[0];
-        assert_eq!(idx, flat.len(), "flat parameter vector has wrong length");
-    }
-
-    /// Flattens gradients in parameter order (test helper).
-    pub fn flat_grads(grads: &EiieGradients) -> Vec<f64> {
-        let mut v = Vec::new();
-        v.extend_from_slice(grads.conv1.d_weights.as_slice());
-        v.extend_from_slice(&grads.conv1.d_bias);
-        v.extend_from_slice(grads.conv2.d_weights.as_slice());
-        v.extend_from_slice(&grads.conv2.d_bias);
-        v.extend_from_slice(&grads.d_head);
-        v.push(grads.d_head_bias);
-        v.push(grads.d_cash_bias);
-        v
-    }
-}
-
-/// Trainer pairing an [`Eiie`] with an optimizer.
-#[derive(Debug)]
-pub struct EiieTrainer<O: Optimizer> {
-    optimizer: O,
-    slots: [ParamSlot; 6],
-    /// Optional global-norm clip applied to the flattened gradient.
-    pub max_grad_norm: Option<f64>,
-}
-
-impl<O: Optimizer> EiieTrainer<O> {
-    /// Registers `net`'s parameters.
-    pub fn new(net: &Eiie, mut optimizer: O) -> Self {
-        let slots = [
-            optimizer.register(net.conv1.weights.len()),
-            optimizer.register(net.conv1.bias.len()),
-            optimizer.register(net.conv2.weights.len()),
-            optimizer.register(net.conv2.bias.len()),
-            optimizer.register(net.head.len()),
-            optimizer.register(2), // head_bias + cash_bias
-        ];
-        Self { optimizer, slots, max_grad_norm: Some(10.0) }
-    }
-
-    /// Applies one descent step.
-    pub fn apply(&mut self, net: &mut Eiie, grads: &EiieGradients) {
-        let mut grads = grads.clone();
-        if let Some(max) = self.max_grad_norm {
-            let flat = Eiie::flat_grads(&grads);
-            let norm = flat.iter().map(|g| g * g).sum::<f64>().sqrt();
-            if norm > max && norm > 0.0 {
-                grads.scale(max / norm);
-            }
-        }
-        self.optimizer.step(
-            self.slots[0],
-            net.conv1.weights.as_mut_slice(),
-            grads.conv1.d_weights.as_slice(),
-        );
-        self.optimizer.step(self.slots[1], &mut net.conv1.bias, &grads.conv1.d_bias);
-        self.optimizer.step(
-            self.slots[2],
-            net.conv2.weights.as_mut_slice(),
-            grads.conv2.d_weights.as_slice(),
-        );
-        self.optimizer.step(self.slots[3], &mut net.conv2.bias, &grads.conv2.d_bias);
-        self.optimizer.step(self.slots[4], &mut net.head, &grads.d_head);
-        let mut tail = [net.head_bias, net.cash_bias];
-        self.optimizer.step(self.slots[5], &mut tail, &[grads.d_head_bias, grads.d_cash_bias]);
-        net.head_bias = tail[0];
-        net.cash_bias = tail[1];
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::SeedableRng;
-    use spikefolio_tensor::optim::Adam;
+    use spikefolio_tensor::optim::{flat_params, set_flat_params, Adam, ClippedAdam};
 
     fn rng() -> rand::rngs::StdRng {
         rand::rngs::StdRng::seed_from_u64(21)
@@ -451,8 +365,8 @@ mod tests {
         let c = [1.0, -0.5, 0.8, -1.2];
         let trace = net.forward(&assets, &pw);
         let grads = net.backward(&trace, &c);
-        let analytic = Eiie::flat_grads(&grads);
-        let params = net.flat_params();
+        let analytic = flat_params(&grads);
+        let params = flat_params(&net);
         assert_eq!(analytic.len(), params.len());
         let loss =
             |n: &Eiie| -> f64 { n.act(&assets, &pw).iter().zip(&c).map(|(a, b)| a * b).sum() };
@@ -461,11 +375,11 @@ mod tests {
             let mut pp = params.clone();
             pp[i] += eps;
             let mut np = net.clone();
-            np.set_flat_params(&pp);
+            set_flat_params(&mut np, &pp);
             let mut pm = params.clone();
             pm[i] -= eps;
             let mut nm = net.clone();
-            nm.set_flat_params(&pm);
+            set_flat_params(&mut nm, &pm);
             let num = (loss(&np) - loss(&nm)) / (2.0 * eps);
             assert!(
                 (analytic[i] - num).abs() < 1e-5,
@@ -482,11 +396,11 @@ mod tests {
         let assets = windows(3, &cfg, 1.0);
         let pw = [0.25; 4];
         let before = net.act(&assets, &pw)[1];
-        let mut trainer = EiieTrainer::new(&net, Adam::new(1e-2));
+        let mut trainer = ClippedAdam::new(&net, Adam::new(1e-2), Some(10.0));
         for _ in 0..100 {
             let trace = net.forward(&assets, &pw);
-            let grads = net.backward(&trace, &[0.0, -1.0, 0.0, 0.0]);
-            trainer.apply(&mut net, &grads);
+            let mut grads = net.backward(&trace, &[0.0, -1.0, 0.0, 0.0]);
+            trainer.apply(&mut net, &mut grads);
         }
         let after = net.act(&assets, &pw)[1];
         assert!(after > before + 0.2, "a[1] went {before} → {after}");
@@ -496,10 +410,10 @@ mod tests {
     fn flat_round_trip() {
         let cfg = EiieConfig::jiang(4, 8);
         let net = Eiie::new(cfg, &mut rng());
-        let flat = net.flat_params();
+        let flat = flat_params(&net);
         let mut net2 = Eiie::new(cfg, &mut rng());
-        net2.set_flat_params(&flat);
-        assert_eq!(net2.flat_params(), flat);
+        set_flat_params(&mut net2, &flat);
+        assert_eq!(flat_params(&net2), flat);
         assert_eq!(net.num_params(), flat.len());
     }
 

@@ -29,6 +29,6 @@ pub mod mlp;
 
 pub use activation::Activation;
 pub use conv::Conv1d;
-pub use eiie::{Eiie, EiieConfig, EiieTrainer};
+pub use eiie::{Eiie, EiieConfig};
 pub use linear::Linear;
-pub use mlp::{Mlp, MlpGradients, MlpTrainer};
+pub use mlp::{Mlp, MlpGradients};

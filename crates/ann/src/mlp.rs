@@ -5,13 +5,16 @@ use crate::activation::Activation;
 use crate::linear::{Linear, LinearGradients};
 use rand::Rng;
 use spikefolio_tensor::ops::{softmax, softmax_backward};
-use spikefolio_tensor::optim::{Optimizer, ParamSlot};
-use spikefolio_tensor::vector;
+use spikefolio_tensor::optim::Params;
 
 /// A dense policy network: linear layers with a pointwise activation
 /// between them and a softmax on the final output, so the action always
 /// lies on the probability simplex (matching the SDP decoder's output
 /// space).
+///
+/// With a 1-wide head the same network is a value function: the DDPG
+/// critic reads `Q` from the raw head output ([`MlpTrace::logits`]) and
+/// backpropagates through [`Mlp::backward_logits`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct Mlp {
     layers: Vec<Linear>,
@@ -21,8 +24,8 @@ pub struct Mlp {
 /// Forward trace for backprop: pre-activations and activations per layer.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MlpTrace {
-    /// Layer inputs, `layers.len() + 1` entries (last is pre-softmax
-    /// activations... see `forward`).
+    /// Layer inputs, `layers.len() + 1` entries; the last is the raw head
+    /// output the softmax is applied to.
     inputs: Vec<Vec<f64>>,
     /// Pre-activation outputs per layer.
     pre_activations: Vec<Vec<f64>>,
@@ -35,6 +38,12 @@ impl MlpTrace {
     pub fn action(&self) -> &[f64] {
         &self.action
     }
+
+    /// The raw head output the softmax was applied to (a value head's
+    /// estimate).
+    pub fn logits(&self) -> &[f64] {
+        &self.inputs[self.inputs.len() - 1]
+    }
 }
 
 /// Gradients for every layer of an [`Mlp`].
@@ -44,44 +53,29 @@ pub struct MlpGradients {
     pub layers: Vec<LinearGradients>,
 }
 
-impl MlpGradients {
-    /// Accumulates `other` into `self`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
-    pub fn accumulate(&mut self, other: &MlpGradients) {
-        assert_eq!(self.layers.len(), other.layers.len(), "layer count mismatch");
-        for (a, b) in self.layers.iter_mut().zip(&other.layers) {
-            a.d_weights.add_scaled(1.0, &b.d_weights);
-            vector::axpy(&mut a.d_bias, 1.0, &b.d_bias);
-        }
+/// Buffer order — each layer's weights then bias, input side first — is
+/// the DRL checkpoint layout.
+impl Params for Mlp {
+    fn buffers(&self) -> Vec<&[f64]> {
+        self.layers.iter().flat_map(|l| [l.weights.as_slice(), &l.bias[..]]).collect()
     }
 
-    /// Scales all gradients by `alpha`.
-    pub fn scale(&mut self, alpha: f64) {
-        for l in &mut self.layers {
-            l.d_weights.scale(alpha);
-            l.d_bias.iter_mut().for_each(|g| *g *= alpha);
-        }
+    fn buffers_mut(&mut self) -> Vec<&mut [f64]> {
+        self.layers.iter_mut().flat_map(|l| [l.weights.as_mut_slice(), &mut l.bias[..]]).collect()
+    }
+}
+
+/// Same buffer order as the [`Mlp`] they were computed for.
+impl Params for MlpGradients {
+    fn buffers(&self) -> Vec<&[f64]> {
+        self.layers.iter().flat_map(|l| [l.d_weights.as_slice(), &l.d_bias[..]]).collect()
     }
 
-    /// Global L2 norm.
-    pub fn global_norm(&self) -> f64 {
-        let mut sq = 0.0;
-        for l in &self.layers {
-            sq += l.d_weights.as_slice().iter().map(|g| g * g).sum::<f64>();
-            sq += l.d_bias.iter().map(|g| g * g).sum::<f64>();
-        }
-        sq.sqrt()
-    }
-
-    /// Clips the global norm to `max_norm`.
-    pub fn clip_global_norm(&mut self, max_norm: f64) {
-        let n = self.global_norm();
-        if n > max_norm && n > 0.0 {
-            self.scale(max_norm / n);
-        }
+    fn buffers_mut(&mut self) -> Vec<&mut [f64]> {
+        self.layers
+            .iter_mut()
+            .flat_map(|l| [l.d_weights.as_mut_slice(), &mut l.d_bias[..]])
+            .collect()
     }
 }
 
@@ -149,7 +143,7 @@ impl Mlp {
         self.forward(state).action
     }
 
-    /// Backward pass from `∂L/∂action`.
+    /// Backward pass from `∂L/∂action` (through the softmax).
     ///
     /// # Panics
     ///
@@ -157,7 +151,20 @@ impl Mlp {
     /// inconsistent.
     pub fn backward(&self, trace: &MlpTrace, d_action: &[f64]) -> MlpGradients {
         assert_eq!(d_action.len(), self.action_dim(), "d_action length mismatch");
-        let mut dy = softmax_backward(&trace.action, d_action);
+        self.backward_logits(trace, &softmax_backward(&trace.action, d_action)).0
+    }
+
+    /// Backward pass from `∂L/∂logits`, the raw pre-softmax head output
+    /// (a value head's gradient enters here). Returns the parameter
+    /// gradients and `∂L/∂input`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `d_logits.len() != action_dim()` or the trace shape is
+    /// inconsistent.
+    pub fn backward_logits(&self, trace: &MlpTrace, d_logits: &[f64]) -> (MlpGradients, Vec<f64>) {
+        assert_eq!(d_logits.len(), self.action_dim(), "d_logits length mismatch");
+        let mut dy = d_logits.to_vec();
         let mut grads: Vec<Option<LinearGradients>> = vec![None; self.layers.len()];
         for (i, layer) in self.layers.iter().enumerate().rev() {
             // Through the activation (not applied after the last layer).
@@ -170,84 +177,8 @@ impl Mlp {
             grads[i] = Some(g);
             dy = dx;
         }
-        MlpGradients { layers: grads.into_iter().map(|g| g.expect("all layers visited")).collect() }
-    }
-
-    /// Flattens all parameters (diagnostic/test helper).
-    pub fn flat_params(&self) -> Vec<f64> {
-        let mut v = Vec::new();
-        for l in &self.layers {
-            v.extend_from_slice(l.weights.as_slice());
-            v.extend_from_slice(&l.bias);
-        }
-        v
-    }
-
-    /// Restores parameters from a flat vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the length doesn't match.
-    pub fn set_flat_params(&mut self, flat: &[f64]) {
-        let mut idx = 0;
-        for l in &mut self.layers {
-            let wlen = l.weights.len();
-            l.weights.as_mut_slice().copy_from_slice(&flat[idx..idx + wlen]);
-            idx += wlen;
-            let blen = l.bias.len();
-            l.bias.copy_from_slice(&flat[idx..idx + blen]);
-            idx += blen;
-        }
-        assert_eq!(idx, flat.len(), "flat parameter vector has wrong length");
-    }
-}
-
-/// Trainer pairing an [`Mlp`] with an optimizer.
-#[derive(Debug)]
-pub struct MlpTrainer<O: Optimizer> {
-    optimizer: O,
-    weight_slots: Vec<ParamSlot>,
-    bias_slots: Vec<ParamSlot>,
-    /// Optional global-norm gradient clip.
-    pub max_grad_norm: Option<f64>,
-}
-
-impl<O: Optimizer> MlpTrainer<O> {
-    /// Registers `net`'s parameters with `optimizer`.
-    pub fn new(net: &Mlp, mut optimizer: O) -> Self {
-        let weight_slots = net.layers.iter().map(|l| optimizer.register(l.weights.len())).collect();
-        let bias_slots = net.layers.iter().map(|l| optimizer.register(l.bias.len())).collect();
-        Self { optimizer, weight_slots, bias_slots, max_grad_norm: Some(10.0) }
-    }
-
-    /// Applies one descent step.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `grads` doesn't match the network shape.
-    pub fn apply(&mut self, net: &mut Mlp, grads: &MlpGradients) {
-        let mut grads = grads.clone();
-        if let Some(max) = self.max_grad_norm {
-            grads.clip_global_norm(max);
-        }
-        for (i, g) in grads.layers.iter().enumerate() {
-            self.optimizer.step(
-                self.weight_slots[i],
-                net.layers[i].weights.as_mut_slice(),
-                g.d_weights.as_slice(),
-            );
-            self.optimizer.step(self.bias_slots[i], &mut net.layers[i].bias, &g.d_bias);
-        }
-    }
-
-    /// Current learning rate.
-    pub fn learning_rate(&self) -> f64 {
-        self.optimizer.learning_rate()
-    }
-
-    /// Adjusts the learning rate.
-    pub fn set_learning_rate(&mut self, lr: f64) {
-        self.optimizer.set_learning_rate(lr);
+        let layers = grads.into_iter().map(|g| g.expect("all layers visited")).collect();
+        (MlpGradients { layers }, dy)
     }
 }
 
@@ -255,7 +186,7 @@ impl<O: Optimizer> MlpTrainer<O> {
 mod tests {
     use super::*;
     use rand::SeedableRng;
-    use spikefolio_tensor::optim::Adam;
+    use spikefolio_tensor::optim::{self, flat_params, set_flat_params, Adam, ClippedAdam};
 
     fn rng() -> rand::rngs::StdRng {
         rand::rngs::StdRng::seed_from_u64(8)
@@ -279,24 +210,19 @@ mod tests {
         let c = [1.0, -0.5, 2.0];
         let trace = n.forward(&state);
         let grads = n.backward(&trace, &c);
-        // Flatten analytic gradients in parameter order.
-        let mut analytic = Vec::new();
-        for g in &grads.layers {
-            analytic.extend_from_slice(g.d_weights.as_slice());
-            analytic.extend_from_slice(&g.d_bias);
-        }
-        let params = n.flat_params();
+        let analytic = flat_params(&grads);
+        let params = flat_params(&n);
         let loss = |nn: &Mlp| -> f64 { nn.act(&state).iter().zip(&c).map(|(a, b)| a * b).sum() };
         let eps = 1e-6;
         for i in 0..params.len() {
             let mut pp = params.clone();
             pp[i] += eps;
             let mut np = n.clone();
-            np.set_flat_params(&pp);
+            set_flat_params(&mut np, &pp);
             let mut pm = params.clone();
             pm[i] -= eps;
             let mut nm = n.clone();
-            nm.set_flat_params(&pm);
+            set_flat_params(&mut nm, &pm);
             let num = (loss(&np) - loss(&nm)) / (2.0 * eps);
             assert!((analytic[i] - num).abs() < 1e-6, "param {i}: {} vs {num}", analytic[i]);
         }
@@ -310,12 +236,8 @@ mod tests {
             let c = [1.5, -1.0];
             let trace = n.forward(&state);
             let grads = n.backward(&trace, &c);
-            let mut analytic = Vec::new();
-            for g in &grads.layers {
-                analytic.extend_from_slice(g.d_weights.as_slice());
-                analytic.extend_from_slice(&g.d_bias);
-            }
-            let params = n.flat_params();
+            let analytic = flat_params(&grads);
+            let params = flat_params(&n);
             let loss =
                 |nn: &Mlp| -> f64 { nn.act(&state).iter().zip(&c).map(|(a, b)| a * b).sum() };
             let eps = 1e-6;
@@ -325,11 +247,11 @@ mod tests {
                 let mut pp = params.clone();
                 pp[i] += eps;
                 let mut np = n.clone();
-                np.set_flat_params(&pp);
+                set_flat_params(&mut np, &pp);
                 let mut pm = params.clone();
                 pm[i] -= eps;
                 let mut nm = n.clone();
-                nm.set_flat_params(&pm);
+                set_flat_params(&mut nm, &pm);
                 let num = (loss(&np) - loss(&nm)) / (2.0 * eps);
                 assert!((analytic[i] - num).abs() < 1e-5, "{act:?} param {i}");
             }
@@ -341,11 +263,11 @@ mod tests {
         let mut n = net();
         let state = [1.0, 1.0, 1.0, 1.0];
         let before = n.act(&state)[2];
-        let mut trainer = MlpTrainer::new(&n, Adam::new(1e-2));
+        let mut trainer = ClippedAdam::new(&n, Adam::new(1e-2), Some(10.0));
         for _ in 0..100 {
             let trace = n.forward(&state);
-            let grads = n.backward(&trace, &[0.0, 0.0, -1.0]);
-            trainer.apply(&mut n, &grads);
+            let mut grads = n.backward(&trace, &[0.0, 0.0, -1.0]);
+            trainer.apply(&mut n, &mut grads);
         }
         let after = n.act(&state)[2];
         assert!(after > before + 0.1, "a[2] went {before} → {after}");
@@ -357,9 +279,9 @@ mod tests {
         let trace = n.forward(&[0.1, 0.2, 0.3, 0.4]);
         let g = n.backward(&trace, &[1.0, 0.0, -1.0]);
         let mut acc = n.backward(&trace, &[0.0, 0.0, 0.0]);
-        acc.accumulate(&g);
-        acc.accumulate(&g);
-        acc.scale(0.5);
+        optim::accumulate(&mut acc, &g);
+        optim::accumulate(&mut acc, &g);
+        optim::scale(&mut acc, 0.5);
         for (a, b) in acc.layers.iter().zip(&g.layers) {
             for (x, y) in a.d_weights.as_slice().iter().zip(b.d_weights.as_slice()) {
                 assert!((x - y).abs() < 1e-12);
@@ -379,9 +301,31 @@ mod tests {
     #[test]
     fn flat_param_roundtrip() {
         let n = net();
-        let flat = n.flat_params();
+        let flat = flat_params(&n);
         let mut n2 = Mlp::new(&[4, 6, 3], Activation::Tanh, &mut rng());
-        n2.set_flat_params(&flat);
-        assert_eq!(n2.flat_params(), flat);
+        set_flat_params(&mut n2, &flat);
+        assert_eq!(flat_params(&n2), flat);
+    }
+
+    #[test]
+    fn parameter_layout_is_each_layer_weights_then_bias() {
+        let n = Mlp::new(&[3, 5, 4, 2], Activation::Relu, &mut rng());
+        let mut expected = Vec::new();
+        for l in n.layers() {
+            expected.extend_from_slice(l.weights.as_slice());
+            expected.extend_from_slice(&l.bias);
+        }
+        assert_eq!(flat_params(&n), expected);
+        assert_eq!(expected.len(), n.num_params());
+    }
+
+    #[test]
+    fn backward_is_backward_logits_through_the_softmax() {
+        let n = net();
+        let trace = n.forward(&[0.3, -0.1, 0.8, 0.2]);
+        let c = [0.5, -1.0, 0.25];
+        let (g, _) = n.backward_logits(&trace, &softmax_backward(trace.action(), &c));
+        assert_eq!(n.backward(&trace, &c), g);
+        assert_eq!(softmax(trace.logits()), trace.action());
     }
 }

@@ -11,6 +11,7 @@ use spikefolio_bench::bench_support;
 use spikefolio_snn::stbp;
 use spikefolio_snn::{BatchNetworkTrace, BatchWorkspace};
 use spikefolio_telemetry::{MemoryRecorder, NoopRecorder};
+use spikefolio_tensor::optim;
 
 fn bench_profile_overhead(c: &mut Criterion) {
     let net = bench_support::paper_network(9);
@@ -45,14 +46,14 @@ fn bench_profile_overhead(c: &mut Criterion) {
         let mut rec = NoopRecorder;
         b.iter(|| {
             let g = stbp::backward_batch(&net, &trace, &d_actions, 0.0, &mut ws, &mut rec);
-            std::hint::black_box(g.global_norm())
+            std::hint::black_box(optim::global_norm(&g))
         })
     });
     group.bench_function("backward_memory_recorder_b8", |b| {
         b.iter(|| {
             let mut rec = MemoryRecorder::new();
             let g = stbp::backward_batch(&net, &trace, &d_actions, 0.0, &mut ws, &mut rec);
-            std::hint::black_box(g.global_norm())
+            std::hint::black_box(optim::global_norm(&g))
         })
     });
     group.finish();

@@ -10,6 +10,9 @@ fn main() {
     println!("  ablation_encoding  deterministic vs probabilistic coding");
     println!("  ablation_surrogate pseudo-gradient shape comparison");
     println!("  ablation_rate_penalty spike-rate penalty energy/quality dial");
+    println!("  telemetry_overhead recorder cost on a full training epoch");
     println!("  profile_overhead   recorder cost on the forward/backward kernels");
+    println!("  checkpoint_io      checkpoint save/load and guarded-training overhead");
+    println!("  serve_batching     serving backend inference at batch 1 vs 32");
     println!("Kernel timings (forward/backward at b1/b8/b32) come from `spikefolio bench run`.");
 }

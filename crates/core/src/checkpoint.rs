@@ -13,7 +13,7 @@ use crate::agent::SdpAgent;
 use crate::drl::DrlAgent;
 use spikefolio_resilience::io::atomic_write_faulted;
 use spikefolio_resilience::{crc32, FaultPlan};
-use spikefolio_snn::stbp::{flat_params, set_flat_params};
+use spikefolio_tensor::optim::{flat_params, set_flat_params};
 use std::fmt::Write as _;
 use std::path::Path;
 
@@ -271,7 +271,7 @@ pub fn heal_sdp(agent: &SdpAgent, path: impl AsRef<Path>) -> std::io::Result<boo
 ///
 /// Returns any I/O error from staging, syncing, or renaming the file.
 pub fn save_drl(agent: &DrlAgent, path: impl AsRef<Path>) -> std::io::Result<()> {
-    let text = encode("drl", &agent.network.flat_params());
+    let text = encode("drl", &flat_params(&agent.network));
     atomic_write_faulted(path, text.as_bytes(), CHECKPOINT_IO_LABEL, None)
 }
 
@@ -284,11 +284,11 @@ pub fn save_drl(agent: &DrlAgent, path: impl AsRef<Path>) -> std::io::Result<()>
 pub fn load_drl(agent: &mut DrlAgent, path: impl AsRef<Path>) -> Result<(), LoadCheckpointError> {
     let text = read_checkpoint_text(path)?;
     let params = decode(&text, "drl")?;
-    let expected = agent.network.flat_params().len();
+    let expected = flat_params(&agent.network).len();
     if params.len() != expected {
         return Err(LoadCheckpointError::Shape { found: params.len(), expected });
     }
-    agent.network.set_flat_params(&params);
+    set_flat_params(&mut agent.network, &params);
     Ok(())
 }
 
@@ -324,7 +324,7 @@ mod tests {
         save_drl(&agent, &path).unwrap();
         let mut restored = DrlAgent::new(&cfg, 5, 999);
         load_drl(&mut restored, &path).unwrap();
-        assert_eq!(restored.network.flat_params(), agent.network.flat_params());
+        assert_eq!(flat_params(&restored.network), flat_params(&agent.network));
         std::fs::remove_file(path).ok();
     }
 

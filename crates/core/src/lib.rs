@@ -57,7 +57,6 @@ pub mod eiie;
 pub mod experiments;
 pub mod figures;
 pub mod guarded;
-pub mod online;
 pub mod profiling;
 pub mod report;
 pub mod scenarios;

@@ -1,5 +1,6 @@
-//! Deterministic policy-gradient training (Jiang-style) for both the
-//! spiking SDP agent and the dense DRL baseline.
+//! Deterministic policy-gradient training (Jiang-style) for all four
+//! learners: the spiking SDP agent and the dense DRL\[Jiang\], EIIE and
+//! DDPG baselines.
 //!
 //! The objective is eq. (1): maximize the mean log portfolio return over
 //! minibatches of market periods drawn from the training range. Following
@@ -15,6 +16,14 @@
 //! 3. reward `r = ln(μ_t(a, w′) · (y_{t+1} · a))`,
 //! 4. ascend `∂r/∂a` through STBP (spiking) or plain backprop (dense),
 //! 5. write `a` back into the PVM.
+//!
+//! Every learner then takes the same step per minibatch: average the
+//! summed gradients, clip their global norm and apply Adam, through one
+//! [`ClippedAdam`] per network. SDP runs its minibatch through the batched
+//! SNN engine on parallel workers ([`SdpTrainingSession`]); the three
+//! dense baselines share one sequential per-sample loop and differ only in
+//! their forward/backward pass and, for DDPG, in training a critic beside
+//! the actor.
 
 use crate::agent::SdpAgent;
 use crate::config::SdpConfig;
@@ -23,6 +32,9 @@ use crate::drl::DrlAgent;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+use spikefolio_ann::eiie::{EiieGradients, EiieTrace};
+use spikefolio_ann::mlp::MlpTrace;
+use spikefolio_ann::MlpGradients;
 use spikefolio_env::CostModel;
 use spikefolio_market::MarketData;
 use spikefolio_snn::network::SpikeStats;
@@ -31,7 +43,7 @@ use spikefolio_snn::{BatchNetworkTrace, BatchWorkspace, SdpNetwork};
 use spikefolio_telemetry::{
     labels, MemoryRecorder, NoopRecorder, Record, Recorder, Stopwatch, Value,
 };
-use spikefolio_tensor::optim::Adam;
+use spikefolio_tensor::optim::{self, Adam, ClippedAdam, Params};
 use spikefolio_tensor::vector::dot;
 use spikefolio_tensor::Matrix;
 use std::time::Instant;
@@ -305,7 +317,7 @@ fn sample_period(rng: &mut StdRng, min_t: usize, max_t: usize, lambda: f64) -> u
     rng.gen_range(min_t..=max_t)
 }
 
-/// Trainer for the SDP agent and the DRL baseline.
+/// Trainer for the SDP agent and the DRL, EIIE and DDPG baselines.
 ///
 /// See the [crate docs](crate) for a quickstart.
 #[derive(Debug, Clone)]
@@ -321,7 +333,7 @@ pub struct Trainer {
 pub struct SdpTrainingSession<'m> {
     market: &'m MarketData,
     pvm: Pvm,
-    trainer: stbp::SdpTrainer<Adam>,
+    trainer: ClippedAdam,
     sample_rng: StdRng,
     min_t: usize,
     max_t: usize,
@@ -342,7 +354,7 @@ pub struct SdpTrainingSession<'m> {
 #[derive(Debug, Clone)]
 pub struct SessionSnapshot {
     params: Vec<f64>,
-    trainer: stbp::SdpTrainer<Adam>,
+    trainer: ClippedAdam,
     pvm: Pvm,
     sample_rng: StdRng,
     step_counter: u64,
@@ -572,7 +584,7 @@ impl SdpTrainingSession<'_> {
                 // above; an empty slot is a scheduler bug worth a panic.
                 #[allow(clippy::expect_used)]
                 let (samples, g, telemetry) = out.expect("micro-batch result missing");
-                grads.accumulate(&g);
+                optim::accumulate(&mut grads, &g);
                 for (t, action, r) in samples {
                     self.pvm.set(t, action);
                     batch_reward += r;
@@ -592,8 +604,8 @@ impl SdpTrainingSession<'_> {
                     }
                 }
             }
-            grads.scale(1.0 / tc.batch_size as f64);
-            grad_norm_sum += grads.global_norm();
+            optim::scale(&mut grads, 1.0 / tc.batch_size as f64);
+            grad_norm_sum += optim::global_norm(&grads);
             if observe {
                 rec.span(labels::SPAN_TRAIN_FORWARD, forward_s);
                 rec.span(labels::SPAN_TRAIN_BACKWARD, backward_s);
@@ -609,12 +621,12 @@ impl SdpTrainingSession<'_> {
                     *sum += sq.sqrt();
                 }
                 let before = stbp::flat_params(&agent.network);
-                self.trainer.apply(&mut agent.network, &grads);
+                self.trainer.apply(&mut agent.network, &mut grads);
                 let after = stbp::flat_params(&agent.network);
                 update_mag_sum +=
                     before.iter().zip(&after).map(|(a, b)| (a - b) * (a - b)).sum::<f64>().sqrt();
             } else {
-                self.trainer.apply(&mut agent.network, &grads);
+                self.trainer.apply(&mut agent.network, &mut grads);
             }
             apply_watch.stop(rec, labels::SPAN_TRAIN_APPLY);
             epoch_reward += batch_reward;
@@ -720,12 +732,10 @@ impl Trainer {
     ) -> SdpTrainingSession<'m> {
         let tc = self.config.training;
         let (min_t, max_t) = self.bounds(market, agent.state_builder().min_period());
-        let mut trainer = stbp::SdpTrainer::new(&agent.network, Adam::new(tc.learning_rate));
-        trainer.max_grad_norm = Some(tc.max_grad_norm);
         SdpTrainingSession {
             market,
             pvm: Pvm::new(market.num_periods(), market.num_assets() + 1),
-            trainer,
+            trainer: self.clipped_adam(&agent.network),
             sample_rng: StdRng::seed_from_u64(self.config.seed ^ 0x5d_u64),
             min_t,
             max_t,
@@ -798,61 +808,8 @@ impl Trainer {
         market: &MarketData,
         rec: &mut dyn Recorder,
     ) -> TrainingLog {
-        let tc = self.config.training;
-        let costs = self.config.backtest.costs;
-        let n_assets = market.num_assets();
-        let (min_t, max_t) = self.bounds(market, agent.window() - 1);
-        let mut pvm = Pvm::new(market.num_periods(), n_assets + 1);
-        let mut trainer =
-            spikefolio_ann::EiieTrainer::new(&agent.network, Adam::new(tc.learning_rate));
-        trainer.max_grad_norm = Some(tc.max_grad_norm);
-        let mut sample_rng = StdRng::seed_from_u64(self.config.seed ^ 0xe11e_u64);
-
-        let mut log = TrainingLog::with_capacity(tc.epochs);
-        for epoch in 0..tc.epochs {
-            let epoch_t0 = Instant::now();
-            let mut epoch_reward = 0.0;
-            let mut epoch_samples = 0usize;
-            let mut grad_norm_sum = 0.0;
-            for _step in 0..tc.steps_per_epoch {
-                let mut grads: Option<spikefolio_ann::eiie::EiieGradients> = None;
-                let mut batch_reward = 0.0;
-                for _ in 0..tc.batch_size {
-                    let t = sample_period(&mut sample_rng, min_t, max_t, tc.recency_bias);
-                    let y_t = market.price_relatives_with_cash(t);
-                    let w_drifted = drift(pvm.get(t - 1), &y_t);
-                    let windows = agent.windows(market, t);
-                    let trace = agent.network.forward(&windows, &w_drifted);
-                    let action = trace.action().to_vec();
-                    let y_next = market.price_relatives_with_cash(t + 1);
-                    let (r, dr) = reward_and_grad(&action, &y_next, &w_drifted, &costs);
-                    let d_action: Vec<f64> = dr.iter().map(|g| -g).collect();
-                    let g = agent.network.backward(&trace, &d_action);
-                    match grads.as_mut() {
-                        Some(acc) => acc.accumulate(&g),
-                        None => grads = Some(g),
-                    }
-                    pvm.set(t, action);
-                    batch_reward += r;
-                }
-                if let Some(mut g) = grads {
-                    g.scale(1.0 / tc.batch_size as f64);
-                    grad_norm_sum += g.global_norm();
-                    trainer.apply(&mut agent.network, &g);
-                }
-                log.steps += 1;
-                epoch_reward += batch_reward;
-                epoch_samples += tc.batch_size;
-            }
-            let stats = EpochStats {
-                reward: epoch_reward / epoch_samples.max(1) as f64,
-                wall_s: epoch_t0.elapsed().as_secs_f64(),
-                grad_norm: grad_norm_sum / tc.steps_per_epoch.max(1) as f64,
-            };
-            log.push_epoch(&stats);
-            emit_dense_epoch(rec, "eiie", epoch, &stats, epoch_samples);
-        }
-        log
+        let trainer = self.clipped_adam(&agent.network);
+        self.train_dense(&mut EiieLearner { agent, trainer }, market, rec)
     }
 
     /// Trains the dense DRL baseline in place on `market`.
@@ -876,61 +833,8 @@ impl Trainer {
         market: &MarketData,
         rec: &mut dyn Recorder,
     ) -> TrainingLog {
-        let tc = self.config.training;
-        let costs = self.config.backtest.costs;
-        let n_assets = market.num_assets();
-        let (min_t, max_t) = self.bounds(market, agent.state_builder().min_period());
-        let mut pvm = Pvm::new(market.num_periods(), n_assets + 1);
-        let mut trainer =
-            spikefolio_ann::MlpTrainer::new(&agent.network, Adam::new(tc.learning_rate));
-        trainer.max_grad_norm = Some(tc.max_grad_norm);
-        let mut sample_rng = StdRng::seed_from_u64(self.config.seed ^ 0xd71_u64);
-
-        let mut log = TrainingLog::with_capacity(tc.epochs);
-        for epoch in 0..tc.epochs {
-            let epoch_t0 = Instant::now();
-            let mut epoch_reward = 0.0;
-            let mut epoch_samples = 0usize;
-            let mut grad_norm_sum = 0.0;
-            for _step in 0..tc.steps_per_epoch {
-                let mut grads: Option<spikefolio_ann::MlpGradients> = None;
-                let mut batch_reward = 0.0;
-                for _ in 0..tc.batch_size {
-                    let t = sample_period(&mut sample_rng, min_t, max_t, tc.recency_bias);
-                    let y_t = market.price_relatives_with_cash(t);
-                    let w_drifted = drift(pvm.get(t - 1), &y_t);
-                    let state = agent.state(market, t, &w_drifted);
-                    let trace = agent.network.forward(&state);
-                    let action = trace.action().to_vec();
-                    let y_next = market.price_relatives_with_cash(t + 1);
-                    let (r, dr) = reward_and_grad(&action, &y_next, &w_drifted, &costs);
-                    let d_action: Vec<f64> = dr.iter().map(|g| -g).collect();
-                    let g = agent.network.backward(&trace, &d_action);
-                    match grads.as_mut() {
-                        Some(acc) => acc.accumulate(&g),
-                        None => grads = Some(g),
-                    }
-                    pvm.set(t, action);
-                    batch_reward += r;
-                }
-                if let Some(mut g) = grads {
-                    g.scale(1.0 / tc.batch_size as f64);
-                    grad_norm_sum += g.global_norm();
-                    trainer.apply(&mut agent.network, &g);
-                }
-                log.steps += 1;
-                epoch_reward += batch_reward;
-                epoch_samples += tc.batch_size;
-            }
-            let stats = EpochStats {
-                reward: epoch_reward / epoch_samples.max(1) as f64,
-                wall_s: epoch_t0.elapsed().as_secs_f64(),
-                grad_norm: grad_norm_sum / tc.steps_per_epoch.max(1) as f64,
-            };
-            log.push_epoch(&stats);
-            emit_dense_epoch(rec, "drl", epoch, &stats, epoch_samples);
-        }
-        log
+        let trainer = self.clipped_adam(&agent.network);
+        self.train_dense(&mut DrlLearner { agent, trainer }, market, rec)
     }
 
     /// Trains the DDPG-style actor-critic baseline in place on `market`.
@@ -960,18 +864,33 @@ impl Trainer {
         market: &MarketData,
         rec: &mut dyn Recorder,
     ) -> TrainingLog {
+        let actor_trainer = self.clipped_adam(&agent.actor);
+        let critic_trainer = self.clipped_adam(&agent.critic);
+        self.train_dense(&mut DdpgLearner { agent, actor_trainer, critic_trainer }, market, rec)
+    }
+
+    /// The configured optimizer for one network: Adam at the training
+    /// learning rate behind the configured global-norm clip.
+    fn clipped_adam(&self, net: &impl Params) -> ClippedAdam {
+        let tc = self.config.training;
+        ClippedAdam::new(net, Adam::new(tc.learning_rate), Some(tc.max_grad_norm))
+    }
+
+    /// The OSBL loop shared by the dense baselines: every sample of a
+    /// minibatch runs forward and backward on its own, the summed
+    /// gradients are averaged, and one step is applied per minibatch.
+    fn train_dense<L: DenseLearner>(
+        &self,
+        learner: &mut L,
+        market: &MarketData,
+        rec: &mut dyn Recorder,
+    ) -> TrainingLog {
         let tc = self.config.training;
         let costs = self.config.backtest.costs;
-        let n_assets = market.num_assets();
-        let (min_t, max_t) = self.bounds(market, agent.state_builder().min_period());
-        let mut pvm = Pvm::new(market.num_periods(), n_assets + 1);
-        let mut actor_trainer =
-            spikefolio_ann::MlpTrainer::new(&agent.actor, Adam::new(tc.learning_rate));
-        actor_trainer.max_grad_norm = Some(tc.max_grad_norm);
-        let mut critic_trainer =
-            crate::ddpg::CriticTrainer::new(&agent.critic, Adam::new(tc.learning_rate));
-        critic_trainer.max_grad_norm = Some(tc.max_grad_norm);
-        let mut sample_rng = StdRng::seed_from_u64(self.config.seed ^ 0xddb6_u64);
+        let (min_t, max_t) = self.bounds(market, learner.min_period());
+        let mut pvm = Pvm::new(market.num_periods(), market.num_assets() + 1);
+        let mut sample_rng = StdRng::seed_from_u64(self.config.seed ^ L::SALT);
+        let inv_batch = 1.0 / tc.batch_size as f64;
 
         let mut log = TrainingLog::with_capacity(tc.epochs);
         for epoch in 0..tc.epochs {
@@ -980,47 +899,26 @@ impl Trainer {
             let mut epoch_samples = 0usize;
             let mut grad_norm_sum = 0.0;
             for _step in 0..tc.steps_per_epoch {
-                let mut actor_grads: Option<spikefolio_ann::MlpGradients> = None;
-                let mut critic_grads: Option<crate::ddpg::CriticGradients> = None;
+                let mut grads: Option<L::Grads> = None;
                 let mut batch_reward = 0.0;
                 for _ in 0..tc.batch_size {
                     let t = sample_period(&mut sample_rng, min_t, max_t, tc.recency_bias);
                     let y_t = market.price_relatives_with_cash(t);
                     let w_drifted = drift(pvm.get(t - 1), &y_t);
-                    let state = agent.state(market, t, &w_drifted);
-                    let trace = agent.actor.forward(&state);
-                    let action = trace.action().to_vec();
+                    let (trace, action) = learner.forward(market, t, &w_drifted);
                     let y_next = market.price_relatives_with_cash(t + 1);
-                    let (r, _dr) = reward_and_grad(&action, &y_next, &w_drifted, &costs);
-                    let mut sa = Vec::with_capacity(state.len() + action.len());
-                    sa.extend_from_slice(&state);
-                    sa.extend_from_slice(&action);
-                    let (ctrace, q) = agent.critic.forward(&sa);
-                    // Critic: descend ½(Q − r)².
-                    let (cg, _) = agent.critic.backward(&ctrace, q - r);
-                    match critic_grads.as_mut() {
-                        Some(acc) => acc.accumulate(&cg),
-                        None => critic_grads = Some(cg),
-                    }
-                    // Actor: ascend Q, i.e. descend −Q through ∂Q/∂a.
-                    let (_, d_input) = agent.critic.backward(&ctrace, 1.0);
-                    let d_action: Vec<f64> = d_input[state.len()..].iter().map(|g| -g).collect();
-                    let ag = agent.actor.backward(&trace, &d_action);
-                    match actor_grads.as_mut() {
-                        Some(acc) => acc.accumulate(&ag),
-                        None => actor_grads = Some(ag),
+                    let (r, dr) = reward_and_grad(&action, &y_next, &w_drifted, &costs);
+                    let d_action: Vec<f64> = dr.iter().map(|g| -g).collect();
+                    let g = learner.backward(&trace, r, &d_action);
+                    match grads.as_mut() {
+                        Some(acc) => L::accumulate(acc, &g),
+                        None => grads = Some(g),
                     }
                     pvm.set(t, action);
                     batch_reward += r;
                 }
-                if let Some(mut g) = critic_grads {
-                    g.scale(1.0 / tc.batch_size as f64);
-                    critic_trainer.apply(&mut agent.critic, &g);
-                }
-                if let Some(mut g) = actor_grads {
-                    g.scale(1.0 / tc.batch_size as f64);
-                    grad_norm_sum += g.global_norm();
-                    actor_trainer.apply(&mut agent.actor, &g);
+                if let Some(g) = grads {
+                    grad_norm_sum += learner.apply(g, inv_batch);
                 }
                 log.steps += 1;
                 epoch_reward += batch_reward;
@@ -1032,9 +930,167 @@ impl Trainer {
                 grad_norm: grad_norm_sum / tc.steps_per_epoch.max(1) as f64,
             };
             log.push_epoch(&stats);
-            emit_dense_epoch(rec, "ddpg", epoch, &stats, epoch_samples);
+            emit_dense_epoch(rec, L::LABEL, epoch, &stats, epoch_samples);
         }
         log
+    }
+}
+
+/// What sets one dense baseline apart inside [`Trainer::train_dense`].
+trait DenseLearner {
+    /// What one sample's backward pass needs from its forward pass.
+    type Trace;
+    /// Gradients of one sample, or summed over a minibatch.
+    type Grads;
+    /// The `agent` field of the epoch records.
+    const LABEL: &'static str;
+    /// Mixed into the configured seed to seed the sampling RNG.
+    const SALT: u64;
+
+    /// First period whose state the learner can build.
+    fn min_period(&self) -> usize;
+
+    /// Runs the policy at period `t` with drifted weights `w_drifted`;
+    /// returns the trace and the action.
+    fn forward(&self, market: &MarketData, t: usize, w_drifted: &[f64]) -> (Self::Trace, Vec<f64>);
+
+    /// One sample's gradients, given its reward `r` and the loss gradient
+    /// `d_action = −∂r/∂a`.
+    fn backward(&self, trace: &Self::Trace, r: f64, d_action: &[f64]) -> Self::Grads;
+
+    /// Adds `g` into `acc`.
+    fn accumulate(acc: &mut Self::Grads, g: &Self::Grads);
+
+    /// Averages the summed gradients (`× inv_batch`) and applies one step;
+    /// returns the gradient norm the epoch stats report.
+    fn apply(&mut self, grads: Self::Grads, inv_batch: f64) -> f64;
+}
+
+/// Averages summed gradients, takes one clipped-Adam step on `net` and
+/// returns the pre-clip global norm.
+fn step(trainer: &mut ClippedAdam, net: &mut impl Params, mut grads: impl Params, inv: f64) -> f64 {
+    optim::scale(&mut grads, inv);
+    let norm = optim::global_norm(&grads);
+    trainer.apply(net, &mut grads);
+    norm
+}
+
+struct DrlLearner<'a> {
+    agent: &'a mut DrlAgent,
+    trainer: ClippedAdam,
+}
+
+impl DenseLearner for DrlLearner<'_> {
+    type Trace = MlpTrace;
+    type Grads = MlpGradients;
+    const LABEL: &'static str = "drl";
+    const SALT: u64 = 0xd71;
+
+    fn min_period(&self) -> usize {
+        self.agent.state_builder().min_period()
+    }
+
+    fn forward(&self, market: &MarketData, t: usize, w_drifted: &[f64]) -> (MlpTrace, Vec<f64>) {
+        let trace = self.agent.network.forward(&self.agent.state(market, t, w_drifted));
+        let action = trace.action().to_vec();
+        (trace, action)
+    }
+
+    fn backward(&self, trace: &MlpTrace, _r: f64, d_action: &[f64]) -> MlpGradients {
+        self.agent.network.backward(trace, d_action)
+    }
+
+    fn accumulate(acc: &mut MlpGradients, g: &MlpGradients) {
+        optim::accumulate(acc, g);
+    }
+
+    fn apply(&mut self, grads: MlpGradients, inv_batch: f64) -> f64 {
+        step(&mut self.trainer, &mut self.agent.network, grads, inv_batch)
+    }
+}
+
+struct EiieLearner<'a> {
+    agent: &'a mut crate::eiie::EiieAgent,
+    trainer: ClippedAdam,
+}
+
+impl DenseLearner for EiieLearner<'_> {
+    type Trace = EiieTrace;
+    type Grads = EiieGradients;
+    const LABEL: &'static str = "eiie";
+    const SALT: u64 = 0xe11e;
+
+    fn min_period(&self) -> usize {
+        self.agent.window() - 1
+    }
+
+    fn forward(&self, market: &MarketData, t: usize, w_drifted: &[f64]) -> (EiieTrace, Vec<f64>) {
+        let trace = self.agent.network.forward(&self.agent.windows(market, t), w_drifted);
+        let action = trace.action().to_vec();
+        (trace, action)
+    }
+
+    fn backward(&self, trace: &EiieTrace, _r: f64, d_action: &[f64]) -> EiieGradients {
+        self.agent.network.backward(trace, d_action)
+    }
+
+    fn accumulate(acc: &mut EiieGradients, g: &EiieGradients) {
+        optim::accumulate(acc, g);
+    }
+
+    fn apply(&mut self, grads: EiieGradients, inv_batch: f64) -> f64 {
+        step(&mut self.trainer, &mut self.agent.network, grads, inv_batch)
+    }
+}
+
+struct DdpgLearner<'a> {
+    agent: &'a mut DdpgAgent,
+    actor_trainer: ClippedAdam,
+    critic_trainer: ClippedAdam,
+}
+
+impl DenseLearner for DdpgLearner<'_> {
+    /// The state and the actor's trace.
+    type Trace = (Vec<f64>, MlpTrace);
+    /// Critic then actor gradients.
+    type Grads = (MlpGradients, MlpGradients);
+    const LABEL: &'static str = "ddpg";
+    const SALT: u64 = 0xddb6;
+
+    fn min_period(&self) -> usize {
+        self.agent.state_builder().min_period()
+    }
+
+    fn forward(&self, market: &MarketData, t: usize, w_drifted: &[f64]) -> (Self::Trace, Vec<f64>) {
+        let state = self.agent.state(market, t, w_drifted);
+        let trace = self.agent.actor.forward(&state);
+        let action = trace.action().to_vec();
+        ((state, trace), action)
+    }
+
+    fn backward(&self, (state, trace): &Self::Trace, r: f64, _d_action: &[f64]) -> Self::Grads {
+        let critic = &self.agent.critic;
+        let mut sa = Vec::with_capacity(state.len() + trace.action().len());
+        sa.extend_from_slice(state);
+        sa.extend_from_slice(trace.action());
+        let ctrace = critic.forward(&sa);
+        // Critic: descend ½(Q − r)².
+        let (cg, _) = critic.backward_logits(&ctrace, &[ctrace.logits()[0] - r]);
+        // Actor: ascend Q, i.e. descend −Q through ∂Q/∂a.
+        let (_, d_input) = critic.backward_logits(&ctrace, &[1.0]);
+        let d_action: Vec<f64> = d_input[state.len()..].iter().map(|g| -g).collect();
+        (cg, self.agent.actor.backward(trace, &d_action))
+    }
+
+    fn accumulate(acc: &mut Self::Grads, g: &Self::Grads) {
+        optim::accumulate(&mut acc.0, &g.0);
+        optim::accumulate(&mut acc.1, &g.1);
+    }
+
+    /// Critic first, then actor; reports the actor's norm.
+    fn apply(&mut self, (critic, actor): Self::Grads, inv_batch: f64) -> f64 {
+        step(&mut self.critic_trainer, &mut self.agent.critic, critic, inv_batch);
+        step(&mut self.actor_trainer, &mut self.agent.actor, actor, inv_batch)
     }
 }
 
@@ -1216,7 +1272,7 @@ mod tests {
         assert!(log1.epoch_grad_norms.iter().all(|g| g.is_finite() && *g >= 0.0));
         // Same seed → bitwise-identical training trajectory and weights.
         assert_eq!(log1.epoch_rewards, log2.epoch_rewards);
-        assert_eq!(a1.actor.flat_params(), a2.actor.flat_params());
+        assert_eq!(optim::flat_params(&a1.actor), optim::flat_params(&a2.actor));
         // The trained actor still backtests on the simplex.
         let (mut agent, _) = run();
         let r = Backtester::new(BacktestConfig::default()).run(&mut agent, &market);

@@ -22,6 +22,7 @@ use rand::{Rng, SeedableRng};
 use spikefolio_telemetry::value::{parse, Value};
 
 use crate::lock;
+use crate::metrics::{HistogramSnapshot, LatencyHistogram};
 use crate::protocol::SERVE_SCHEMA;
 
 /// Load-generation parameters.
@@ -65,19 +66,33 @@ impl Default for LoadgenOptions {
     }
 }
 
-/// Latency percentiles over served responses (µs).
+/// Latency percentiles over served responses (µs), read from a
+/// [`LatencyHistogram`] so they follow the same ceil-rank rule as the
+/// server's stage percentiles printed beside them.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct LatencySummary {
     /// Median.
-    pub p50_us: u64,
+    pub p50_us: f64,
     /// 95th percentile.
-    pub p95_us: u64,
+    pub p95_us: f64,
     /// 99th percentile.
-    pub p99_us: u64,
+    pub p99_us: f64,
     /// Arithmetic mean.
-    pub mean_us: u64,
+    pub mean_us: f64,
     /// Worst observed.
-    pub max_us: u64,
+    pub max_us: f64,
+}
+
+impl From<&HistogramSnapshot> for LatencySummary {
+    fn from(s: &HistogramSnapshot) -> Self {
+        Self {
+            p50_us: s.p50_us,
+            p95_us: s.p95_us,
+            p99_us: s.p99_us,
+            mean_us: s.mean_us,
+            max_us: s.max_us,
+        }
+    }
 }
 
 /// One server-side stage latency summary scraped from the `metrics`
@@ -153,11 +168,11 @@ impl LoadReport {
                 .collect(),
         );
         let latency = Value::Map(vec![
-            ("p50_us".to_string(), Value::U64(self.latency.p50_us)),
-            ("p95_us".to_string(), Value::U64(self.latency.p95_us)),
-            ("p99_us".to_string(), Value::U64(self.latency.p99_us)),
-            ("mean_us".to_string(), Value::U64(self.latency.mean_us)),
-            ("max_us".to_string(), Value::U64(self.latency.max_us)),
+            ("p50_us".to_string(), Value::F64(self.latency.p50_us)),
+            ("p95_us".to_string(), Value::F64(self.latency.p95_us)),
+            ("p99_us".to_string(), Value::F64(self.latency.p99_us)),
+            ("mean_us".to_string(), Value::F64(self.latency.mean_us)),
+            ("max_us".to_string(), Value::F64(self.latency.max_us)),
         ]);
         Value::Map(vec![
             ("schema".to_string(), Value::Str(SERVE_SCHEMA.to_string())),
@@ -216,7 +231,7 @@ impl LoadReport {
             self.errors
         ));
         out.push_str(&format!(
-            "  latency p50 {} us  p95 {} us  p99 {} us  mean {} us  max {} us\n",
+            "  latency p50 {:.1} us  p95 {:.1} us  p99 {:.1} us  mean {:.1} us  max {:.1} us\n",
             self.latency.p50_us,
             self.latency.p95_us,
             self.latency.p99_us,
@@ -246,7 +261,7 @@ impl LoadReport {
                 "latency (us)", "count", "p50", "p95", "p99", "max"
             ));
             out.push_str(&format!(
-                "  {:<16} {:>8} {:>10} {:>10} {:>10} {:>10}\n",
+                "  {:<16} {:>8} {:>10.1} {:>10.1} {:>10.1} {:>10.1}\n",
                 "client e2e",
                 self.served,
                 self.latency.p50_us,
@@ -311,40 +326,6 @@ fn connect_with_retry(
     }
 }
 
-/// Linearly interpolated percentile of an already sorted slice.
-///
-/// The rank `pct/100 * (n-1)` generally falls between two samples; the
-/// result interpolates between them (then rounds) instead of truncating
-/// to the nearest rank, so small samples don't quantize p95/p99 onto
-/// whichever observation happens to sit at the cut.
-fn percentile(sorted: &[u64], pct: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let rank = (pct / 100.0).clamp(0.0, 1.0) * (sorted.len() - 1) as f64;
-    let lo = rank.floor() as usize;
-    let hi = rank.ceil() as usize;
-    let frac = rank - lo as f64;
-    let a = sorted[lo] as f64;
-    let b = sorted[hi.min(sorted.len() - 1)] as f64;
-    (a + frac * (b - a)).round() as u64
-}
-
-fn summarize_latencies(mut lat_us: Vec<u64>) -> LatencySummary {
-    if lat_us.is_empty() {
-        return LatencySummary::default();
-    }
-    lat_us.sort_unstable();
-    let sum: u64 = lat_us.iter().sum();
-    LatencySummary {
-        p50_us: percentile(&lat_us, 50.0),
-        p95_us: percentile(&lat_us, 95.0),
-        p99_us: percentile(&lat_us, 99.0),
-        mean_us: sum / lat_us.len() as u64,
-        max_us: *lat_us.last().unwrap_or(&0),
-    }
-}
-
 /// The state vector for request `index`: depends only on `(seed, index)`
 /// so every run regenerates the identical stream.
 fn request_state(seed: u64, index: u64, dim: usize) -> Vec<f64> {
@@ -363,14 +344,14 @@ struct RunTally {
     shed_queue_full: u64,
     shed_deadline: u64,
     errors: u64,
-    latencies_us: Vec<u64>,
+    latencies: LatencyHistogram,
     batch_hist: BTreeMap<usize, u64>,
     weights_bits: HashMap<u64, Vec<u64>>,
     connect_retries: u64,
 }
 
 impl RunTally {
-    fn absorb_response(&mut self, line: &str, latency_us: u64) {
+    fn absorb_response(&mut self, line: &str, latency: Duration) {
         let Ok(v) = parse(line) else {
             self.errors += 1;
             return;
@@ -385,7 +366,7 @@ impl RunTally {
             return;
         }
         self.served += 1;
-        self.latencies_us.push(latency_us);
+        self.latencies.observe(latency);
         if let Some(batch) = v.get("batch").and_then(Value::as_u64) {
             *self.batch_hist.entry(batch as usize).or_insert(0) += 1;
         }
@@ -403,7 +384,7 @@ impl RunTally {
         self.shed_queue_full += other.shed_queue_full;
         self.shed_deadline += other.shed_deadline;
         self.errors += other.errors;
-        self.latencies_us.extend(other.latencies_us);
+        self.latencies.merge_from(&other.latencies);
         for (k, c) in other.batch_hist {
             *self.batch_hist.entry(k).or_insert(0) += c;
         }
@@ -514,8 +495,7 @@ fn closed_loop_worker(
         if n == 0 {
             return Err(format!("server closed the connection before response {i}"));
         }
-        let latency_us = (sent.elapsed().as_secs_f64() * 1e6) as u64;
-        tally.absorb_response(line.trim(), latency_us);
+        tally.absorb_response(line.trim(), sent.elapsed());
     }
     Ok(tally)
 }
@@ -560,12 +540,12 @@ fn open_loop_worker(
                 return Err("server closed the connection mid-run".to_string());
             }
             let trimmed = line.trim();
-            let latency_us = parse(trimmed)
+            let latency = parse(trimmed)
                 .ok()
                 .and_then(|v| v.get("id").and_then(Value::as_u64))
                 .and_then(|id| lock(sent_ref).remove(&id))
-                .map_or(0, |t| (t.elapsed().as_secs_f64() * 1e6) as u64);
-            tally.absorb_response(trimmed, latency_us);
+                .map_or(Duration::ZERO, |t| t.elapsed());
+            tally.absorb_response(trimmed, latency);
         }
         writer_handle.join().map_err(|_| "writer lane panicked".to_string())??;
         Ok(tally)
@@ -648,7 +628,7 @@ pub fn run_loadgen(addr: &str, opts: &LoadgenOptions) -> Result<LoadReport, Stri
         errors: first.errors,
         wall_s,
         throughput_rps: if wall_s > 0.0 { first.served as f64 / wall_s } else { 0.0 },
-        latency: summarize_latencies(first.latencies_us),
+        latency: LatencySummary::from(&first.latencies.snapshot()),
         batch_hist: first.batch_hist.into_iter().collect(),
         max_batch,
         deterministic,
@@ -664,20 +644,34 @@ mod tests {
     use super::*;
 
     #[test]
-    fn percentiles_interpolate_between_ranks() {
-        let sorted: Vec<u64> = (1..=100).collect();
-        // rank 49.5 sits between 50 and 51: interpolation gives 50.5,
-        // rounded half-up to 51 — nearest-rank truncation would say 50.
-        assert_eq!(percentile(&sorted, 50.0), 51);
-        assert_eq!(percentile(&sorted, 95.0), 95); // 94.05 -> 95.05 -> 95
-        assert_eq!(percentile(&sorted, 99.0), 99); // 98.01 -> 99.01 -> 99
-        assert_eq!(percentile(&sorted, 100.0), 100);
-        assert_eq!(percentile(&sorted, 0.0), 1);
-        // A two-sample gap interpolates rather than snapping to an end.
-        assert_eq!(percentile(&[0, 100], 50.0), 50);
-        assert_eq!(percentile(&[0, 100], 75.0), 75);
-        assert_eq!(percentile(&[7], 50.0), 7);
-        assert_eq!(percentile(&[], 50.0), 0);
+    fn client_percentiles_follow_the_histogram_rule() {
+        // Served-response latencies from 1 to 100 ms, absorbed in a
+        // scrambled order and split across two merged lane tallies.
+        let served = r#"{"id":1,"ok":true,"weights":[1.0]}"#;
+        let reference = LatencyHistogram::new();
+        let (mut a, mut b) = (RunTally::default(), RunTally::default());
+        for i in 0..100u64 {
+            let d = Duration::from_micros(1_000 * (1 + (i * 37) % 100));
+            reference.observe(d);
+            let lane = if i % 2 == 0 { &mut a } else { &mut b };
+            lane.absorb_response(served, d);
+        }
+        // Shed responses carry no latency sample.
+        a.absorb_response(r#"{"id":2,"ok":false,"error":"deadline"}"#, Duration::from_secs(9));
+        a.merge(b);
+        let snap = reference.snapshot();
+        let summary = LatencySummary::from(&a.latencies.snapshot());
+        assert_eq!(summary, LatencySummary::from(&snap));
+        assert_eq!(
+            (summary.p50_us, summary.p95_us, summary.p99_us, summary.max_us),
+            (snap.p50_us, snap.p95_us, snap.p99_us, snap.max_us)
+        );
+        // Ceil rank: p50 of 1..=100 ms is the bucket holding the 50th
+        // sample (50 ms), not an interpolation toward the 51st.
+        let bucket = crate::metrics::bucket_bounds_ns(crate::metrics::bucket_index(50_000_000));
+        assert_eq!(summary.p50_us, bucket.1 as f64 / 1e3);
+        assert_eq!(summary.max_us, 100_000.0);
+        assert_eq!(summary.mean_us, 50_500.0);
     }
 
     #[test]
@@ -692,10 +686,11 @@ mod tests {
     #[test]
     fn tally_classifies_responses() {
         let mut t = RunTally::default();
-        t.absorb_response(r#"{"id":1,"ok":true,"weights":[0.5,0.5],"batch":4}"#, 100);
-        t.absorb_response(r#"{"id":2,"ok":false,"error":"queue_full","message":"m"}"#, 5);
-        t.absorb_response(r#"{"id":3,"ok":false,"error":"deadline","message":"m"}"#, 5);
-        t.absorb_response("garbage", 5);
+        let ms = Duration::from_millis;
+        t.absorb_response(r#"{"id":1,"ok":true,"weights":[0.5,0.5],"batch":4}"#, ms(100));
+        t.absorb_response(r#"{"id":2,"ok":false,"error":"queue_full","message":"m"}"#, ms(5));
+        t.absorb_response(r#"{"id":3,"ok":false,"error":"deadline","message":"m"}"#, ms(5));
+        t.absorb_response("garbage", ms(5));
         assert_eq!(t.served, 1);
         assert_eq!(t.shed_queue_full, 1);
         assert_eq!(t.shed_deadline, 1);
@@ -715,7 +710,13 @@ mod tests {
             errors: 0,
             wall_s: 0.5,
             throughput_rps: 18.0,
-            latency: LatencySummary { p50_us: 10, p95_us: 20, p99_us: 30, mean_us: 12, max_us: 31 },
+            latency: LatencySummary {
+                p50_us: 10.0,
+                p95_us: 20.0,
+                p99_us: 30.0,
+                mean_us: 12.0,
+                max_us: 31.0,
+            },
             batch_hist: vec![(1, 3), (4, 2)],
             max_batch: 4,
             deterministic: Some(true),

@@ -20,8 +20,10 @@ use crate::decoder::DecoderTrace;
 use crate::network::SdpNetwork;
 use spikefolio_telemetry::labels::SPAN_PROFILE_SNN_STBP;
 use spikefolio_telemetry::{Recorder, Stopwatch};
-use spikefolio_tensor::optim::{Optimizer, ParamSlot};
+use spikefolio_tensor::optim::Params;
 use spikefolio_tensor::{gemm, sparse, vector, Matrix};
+
+pub use spikefolio_tensor::optim::{flat_params, set_flat_params};
 
 /// Gradients of one LIF layer.
 #[derive(Debug, Clone, PartialEq)]
@@ -59,51 +61,6 @@ impl SdpGradients {
             d_decoder_bias: vec![0.0; net.decoder.bias.len()],
         }
     }
-
-    /// Accumulates `other` into `self` (gradient averaging over batches).
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
-    pub fn accumulate(&mut self, other: &SdpGradients) {
-        assert_eq!(self.layers.len(), other.layers.len(), "layer count mismatch");
-        for (a, b) in self.layers.iter_mut().zip(&other.layers) {
-            a.d_weights.add_scaled(1.0, &b.d_weights);
-            vector::axpy(&mut a.d_bias, 1.0, &b.d_bias);
-        }
-        vector::axpy(&mut self.d_decoder_weights, 1.0, &other.d_decoder_weights);
-        vector::axpy(&mut self.d_decoder_bias, 1.0, &other.d_decoder_bias);
-    }
-
-    /// Multiplies every gradient by `alpha`.
-    pub fn scale(&mut self, alpha: f64) {
-        for l in &mut self.layers {
-            l.d_weights.scale(alpha);
-            l.d_bias.iter_mut().for_each(|g| *g *= alpha);
-        }
-        self.d_decoder_weights.iter_mut().for_each(|g| *g *= alpha);
-        self.d_decoder_bias.iter_mut().for_each(|g| *g *= alpha);
-    }
-
-    /// Global L2 norm across all gradients.
-    pub fn global_norm(&self) -> f64 {
-        let mut sq = 0.0;
-        for l in &self.layers {
-            sq += l.d_weights.as_slice().iter().map(|g| g * g).sum::<f64>();
-            sq += l.d_bias.iter().map(|g| g * g).sum::<f64>();
-        }
-        sq += self.d_decoder_weights.iter().map(|g| g * g).sum::<f64>();
-        sq += self.d_decoder_bias.iter().map(|g| g * g).sum::<f64>();
-        sq.sqrt()
-    }
-
-    /// Clips the global norm to `max_norm` (no-op if already below).
-    pub fn clip_global_norm(&mut self, max_norm: f64) {
-        let n = self.global_norm();
-        if n > max_norm && n > 0.0 {
-            self.scale(max_norm / n);
-        }
-    }
 }
 
 /// The STBP backward pass over a [`BatchNetworkTrace`] produced by
@@ -130,6 +87,37 @@ impl SdpGradients {
 ///
 /// The whole pass is timed as one [`SPAN_PROFILE_SNN_STBP`] span on `rec`
 /// (observe-only; a disabled recorder never reads the clock).
+///
+/// # Example
+///
+/// One training step through the shared clipped-Adam trainer:
+///
+/// ```
+/// use rand::rngs::StdRng;
+/// use rand::SeedableRng;
+/// use spikefolio_snn::network::{SdpNetwork, SdpNetworkConfig};
+/// use spikefolio_snn::stbp;
+/// use spikefolio_snn::{BatchNetworkTrace, BatchWorkspace};
+/// use spikefolio_telemetry::NoopRecorder;
+/// use spikefolio_tensor::optim::{Adam, ClippedAdam};
+/// use spikefolio_tensor::Matrix;
+///
+/// let mut net = SdpNetwork::new(SdpNetworkConfig::small(4, 3), &mut StdRng::seed_from_u64(2));
+/// let mut trainer = ClippedAdam::new(&net, Adam::new(1e-3), Some(10.0));
+/// // A minibatch of two states, each encoded with its own RNG.
+/// let states = Matrix::from_rows(&[&[1.0, 0.9, 1.1, 1.0], &[0.95, 1.0, 1.05, 1.1]]);
+/// let mut rngs = [StdRng::seed_from_u64(10), StdRng::seed_from_u64(11)];
+/// let mut ws = BatchWorkspace::new(&net, 2);
+/// let mut trace = BatchNetworkTrace::new(&net, 2);
+/// net.forward_batch(&states, &mut rngs, &mut ws, &mut trace, &mut NoopRecorder);
+/// // Descend on L = -Σ_b a_b[0] (make action 0 more likely).
+/// let d_actions = Matrix::from_fn(2, 3, |_, a| if a == 0 { -1.0 } else { 0.0 });
+/// let mut grads =
+///     stbp::backward_batch(&net, &trace, &d_actions, 0.0, &mut ws, &mut NoopRecorder);
+/// let before = stbp::flat_params(&net);
+/// trainer.apply(&mut net, &mut grads);
+/// assert_ne!(stbp::flat_params(&net), before);
+/// ```
 ///
 /// # Panics
 ///
@@ -290,147 +278,47 @@ pub fn backward_batch(
     grads
 }
 
-/// Trainer: owns the optimizer state for one [`SdpNetwork`].
-///
-/// # Example
-///
-/// ```
-/// use rand::rngs::StdRng;
-/// use rand::SeedableRng;
-/// use spikefolio_snn::network::{SdpNetwork, SdpNetworkConfig};
-/// use spikefolio_snn::stbp::{self, SdpTrainer};
-/// use spikefolio_snn::{BatchNetworkTrace, BatchWorkspace};
-/// use spikefolio_telemetry::NoopRecorder;
-/// use spikefolio_tensor::optim::Adam;
-/// use spikefolio_tensor::Matrix;
-///
-/// let mut net = SdpNetwork::new(SdpNetworkConfig::small(4, 3), &mut StdRng::seed_from_u64(2));
-/// let mut trainer = SdpTrainer::new(&net, Adam::new(1e-3));
-/// // A minibatch of two states, each encoded with its own RNG.
-/// let states = Matrix::from_rows(&[&[1.0, 0.9, 1.1, 1.0], &[0.95, 1.0, 1.05, 1.1]]);
-/// let mut rngs = [StdRng::seed_from_u64(10), StdRng::seed_from_u64(11)];
-/// let mut ws = BatchWorkspace::new(&net, 2);
-/// let mut trace = BatchNetworkTrace::new(&net, 2);
-/// net.forward_batch(&states, &mut rngs, &mut ws, &mut trace, &mut NoopRecorder);
-/// // Descend on L = -Σ_b a_b[0] (make action 0 more likely).
-/// let d_actions = Matrix::from_fn(2, 3, |_, a| if a == 0 { -1.0 } else { 0.0 });
-/// let grads = stbp::backward_batch(&net, &trace, &d_actions, 0.0, &mut ws, &mut NoopRecorder);
-/// trainer.apply(&mut net, &grads);
-/// ```
-#[derive(Debug, Clone)]
-pub struct SdpTrainer<O: Optimizer> {
-    optimizer: O,
-    layer_weight_slots: Vec<ParamSlot>,
-    layer_bias_slots: Vec<ParamSlot>,
-    decoder_weight_slot: ParamSlot,
-    decoder_bias_slot: ParamSlot,
-    /// Optional global-norm gradient clip (None = no clipping).
-    pub max_grad_norm: Option<f64>,
-}
-
-impl<O: Optimizer> SdpTrainer<O> {
-    /// Registers all of `net`'s parameter buffers with `optimizer`.
-    pub fn new(net: &SdpNetwork, mut optimizer: O) -> Self {
-        let layer_weight_slots =
-            net.layers.iter().map(|l| optimizer.register(l.weights.len())).collect();
-        let layer_bias_slots =
-            net.layers.iter().map(|l| optimizer.register(l.bias.len())).collect();
-        let decoder_weight_slot = optimizer.register(net.decoder.weights.len());
-        let decoder_bias_slot = optimizer.register(net.decoder.bias.len());
-        Self {
-            optimizer,
-            layer_weight_slots,
-            layer_bias_slots,
-            decoder_weight_slot,
-            decoder_bias_slot,
-            max_grad_norm: Some(10.0),
-        }
+/// Buffer order — each LIF layer's weights then bias, input side first,
+/// then the decoder weights and bias — is the SDP checkpoint layout.
+impl Params for SdpNetwork {
+    fn buffers(&self) -> Vec<&[f64]> {
+        let decoder = [&self.decoder.weights[..], &self.decoder.bias[..]];
+        self.layers
+            .iter()
+            .flat_map(|l| [l.weights.as_slice(), &l.bias[..]])
+            .chain(decoder)
+            .collect()
     }
 
-    /// Applies one optimization step with `grads` (descent direction).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `grads` was produced for a differently-shaped network.
-    pub fn apply(&mut self, net: &mut SdpNetwork, grads: &SdpGradients) {
-        let mut grads = grads.clone();
-        if let Some(max) = self.max_grad_norm {
-            grads.clip_global_norm(max);
-        }
-        for (k, lg) in grads.layers.iter().enumerate() {
-            self.optimizer.step(
-                self.layer_weight_slots[k],
-                net.layers[k].weights.as_mut_slice(),
-                lg.d_weights.as_slice(),
-            );
-            self.optimizer.step(self.layer_bias_slots[k], &mut net.layers[k].bias, &lg.d_bias);
-        }
-        self.optimizer.step(
-            self.decoder_weight_slot,
-            &mut net.decoder.weights,
-            &grads.d_decoder_weights,
-        );
-        self.optimizer.step(self.decoder_bias_slot, &mut net.decoder.bias, &grads.d_decoder_bias);
-    }
-
-    /// Current learning rate.
-    pub fn learning_rate(&self) -> f64 {
-        self.optimizer.learning_rate()
-    }
-
-    /// Adjusts the learning rate.
-    pub fn set_learning_rate(&mut self, lr: f64) {
-        self.optimizer.set_learning_rate(lr);
+    fn buffers_mut(&mut self) -> Vec<&mut [f64]> {
+        let decoder = [&mut self.decoder.weights[..], &mut self.decoder.bias[..]];
+        self.layers
+            .iter_mut()
+            .flat_map(|l| [l.weights.as_mut_slice(), &mut l.bias[..]])
+            .chain(decoder)
+            .collect()
     }
 }
 
-/// Collects all trainable parameters of `net` into one flat vector
-/// (test/diagnostic helper; order matches [`set_flat_params`]).
-pub fn flat_params(net: &SdpNetwork) -> Vec<f64> {
-    let mut v = Vec::new();
-    for l in &net.layers {
-        v.extend_from_slice(l.weights.as_slice());
-        v.extend_from_slice(&l.bias);
+/// Same buffer order as the [`SdpNetwork`] they were computed for.
+impl Params for SdpGradients {
+    fn buffers(&self) -> Vec<&[f64]> {
+        let decoder = [&self.d_decoder_weights[..], &self.d_decoder_bias[..]];
+        self.layers
+            .iter()
+            .flat_map(|l| [l.d_weights.as_slice(), &l.d_bias[..]])
+            .chain(decoder)
+            .collect()
     }
-    v.extend_from_slice(&net.decoder.weights);
-    v.extend_from_slice(&net.decoder.bias);
-    v
-}
 
-/// Writes a flat parameter vector back into `net`.
-///
-/// # Panics
-///
-/// Panics if `flat.len()` does not match the parameter count.
-pub fn set_flat_params(net: &mut SdpNetwork, flat: &[f64]) {
-    let mut idx = 0;
-    for l in &mut net.layers {
-        let wlen = l.weights.len();
-        l.weights.as_mut_slice().copy_from_slice(&flat[idx..idx + wlen]);
-        idx += wlen;
-        let blen = l.bias.len();
-        l.bias.copy_from_slice(&flat[idx..idx + blen]);
-        idx += blen;
+    fn buffers_mut(&mut self) -> Vec<&mut [f64]> {
+        let decoder = [&mut self.d_decoder_weights[..], &mut self.d_decoder_bias[..]];
+        self.layers
+            .iter_mut()
+            .flat_map(|l| [l.d_weights.as_mut_slice(), &mut l.d_bias[..]])
+            .chain(decoder)
+            .collect()
     }
-    let dwlen = net.decoder.weights.len();
-    net.decoder.weights.copy_from_slice(&flat[idx..idx + dwlen]);
-    idx += dwlen;
-    let dblen = net.decoder.bias.len();
-    net.decoder.bias.copy_from_slice(&flat[idx..idx + dblen]);
-    idx += dblen;
-    assert_eq!(idx, flat.len(), "flat parameter vector has wrong length");
-}
-
-/// Flattens gradients in the same order as [`flat_params`].
-pub fn flat_grads(grads: &SdpGradients) -> Vec<f64> {
-    let mut v = Vec::new();
-    for l in &grads.layers {
-        v.extend_from_slice(l.d_weights.as_slice());
-        v.extend_from_slice(&l.d_bias);
-    }
-    v.extend_from_slice(&grads.d_decoder_weights);
-    v.extend_from_slice(&grads.d_decoder_bias);
-    v
 }
 
 #[cfg(test)]
@@ -440,6 +328,7 @@ mod tests {
     use crate::neuron::SpikeFn;
     use rand::SeedableRng;
     use spikefolio_telemetry::NoopRecorder;
+    use spikefolio_tensor::optim::{self, Adam, ClippedAdam};
 
     fn rng() -> rand::rngs::StdRng {
         rand::rngs::StdRng::seed_from_u64(123)
@@ -484,7 +373,7 @@ mod tests {
         let state = [0.9, 1.05, 1.2];
         let c = [1.0, -1.5]; // arbitrary linear loss on the action
         let grads = backward_one(&net, &state, &c, 0.0);
-        let analytic = flat_grads(&grads);
+        let analytic = flat_params(&grads);
         let params = flat_params(&net);
         assert_eq!(analytic.len(), params.len());
 
@@ -522,7 +411,7 @@ mod tests {
         cfg.timesteps = 5;
         let net = SdpNetwork::new(cfg, &mut rng());
         let grads = backward_one(&net, &[1.0, 0.9, 1.1], &[1.0, -1.0], 0.0);
-        assert!(flat_grads(&grads).iter().all(|g| g.is_finite()));
+        assert!(flat_params(&grads).iter().all(|g| g.is_finite()));
     }
 
     #[test]
@@ -531,10 +420,10 @@ mod tests {
         let mut net = soft_net();
         let state = [1.0, 1.0, 1.0];
         let before = net.act(&state, &mut rng())[0];
-        let mut trainer = SdpTrainer::new(&net, spikefolio_tensor::optim::Adam::new(5e-3));
+        let mut trainer = ClippedAdam::new(&net, Adam::new(5e-3), Some(10.0));
         for _ in 0..50 {
-            let grads = backward_one(&net, &state, &[-1.0, 0.0], 0.0);
-            trainer.apply(&mut net, &grads);
+            let mut grads = backward_one(&net, &state, &[-1.0, 0.0], 0.0);
+            trainer.apply(&mut net, &mut grads);
         }
         let after = net.act(&state, &mut rng())[0];
         assert!(after > before + 0.05, "a[0] went {before} → {after}");
@@ -548,10 +437,10 @@ mod tests {
         let mut net = SdpNetwork::new(cfg, &mut rng());
         let state = [1.0, 1.0, 1.0];
         let before = net.act(&state, &mut rng())[1];
-        let mut trainer = SdpTrainer::new(&net, spikefolio_tensor::optim::Adam::new(1e-2));
+        let mut trainer = ClippedAdam::new(&net, Adam::new(1e-2), Some(10.0));
         for _ in 0..100 {
-            let grads = backward_one(&net, &state, &[0.0, -1.0], 0.0);
-            trainer.apply(&mut net, &grads);
+            let mut grads = backward_one(&net, &state, &[0.0, -1.0], 0.0);
+            trainer.apply(&mut net, &mut grads);
         }
         let after = net.act(&state, &mut rng())[1];
         assert!(after > before, "a[1] went {before} → {after}");
@@ -562,28 +451,44 @@ mod tests {
         let net = soft_net();
         let g1 = backward_one(&net, &[1.0, 1.0, 1.0], &[1.0, 0.0], 0.0);
         let mut acc = SdpGradients::zeros_like(&net);
-        acc.accumulate(&g1);
-        acc.accumulate(&g1);
-        acc.scale(0.5);
-        let a = flat_grads(&acc);
-        let b = flat_grads(&g1);
+        optim::accumulate(&mut acc, &g1);
+        optim::accumulate(&mut acc, &g1);
+        optim::scale(&mut acc, 0.5);
+        let a = flat_params(&acc);
+        let b = flat_params(&g1);
         for (x, y) in a.iter().zip(&b) {
             assert!((x - y).abs() < 1e-12);
         }
     }
 
     #[test]
-    fn clip_global_norm_bounds_gradients() {
-        let net = soft_net();
+    fn clip_bounds_the_global_norm() {
+        let mut net = soft_net();
         let state = [1.0, 1.0, 1.0];
+        let mut trainer = ClippedAdam::new(&net, Adam::new(1e-3), Some(1.0));
         let mut g = backward_one(&net, &state, &[100.0, -100.0], 0.0);
-        g.clip_global_norm(1.0);
-        assert!(g.global_norm() <= 1.0 + 1e-9);
-        // Clipping an already-small gradient is a no-op.
-        let mut small = backward_one(&net, &state, &[1e-8, -1e-8], 0.0);
-        let before = small.global_norm();
-        small.clip_global_norm(1.0);
-        assert!((small.global_norm() - before).abs() < 1e-15);
+        assert!(optim::global_norm(&g) > 1.0, "the test gradient must need clipping");
+        trainer.apply(&mut net.clone(), &mut g);
+        assert!(optim::global_norm(&g) <= 1.0 + 1e-9);
+        // Clipping an already-small gradient is a bitwise no-op.
+        let small = backward_one(&net, &state, &[1e-8, -1e-8], 0.0);
+        let mut g = small.clone();
+        trainer.apply(&mut net, &mut g);
+        assert_eq!(g, small);
+    }
+
+    #[test]
+    fn parameter_layout_is_each_layer_weights_then_bias_then_decoder() {
+        let net = soft_net();
+        let mut expected = Vec::new();
+        for l in &net.layers {
+            expected.extend_from_slice(l.weights.as_slice());
+            expected.extend_from_slice(&l.bias);
+        }
+        expected.extend_from_slice(&net.decoder.weights);
+        expected.extend_from_slice(&net.decoder.bias);
+        assert_eq!(flat_params(&net), expected);
+        assert_eq!(expected.len(), net.num_params());
     }
 
     #[test]
@@ -604,7 +509,7 @@ mod tests {
         let state = [0.9, 1.1, 1.0];
         let c = [1.0, -2.0];
         let grads = backward_one(&net, &state, &c, 0.0);
-        let analytic = flat_grads(&grads);
+        let analytic = flat_params(&grads);
         let params = flat_params(&net);
         let eps = 1e-5;
         for i in (0..params.len()).step_by(5) {
@@ -652,7 +557,7 @@ mod tests {
         let c = [0.5, -0.5];
         let lambda = 0.7;
         let grads = backward_one(&net, &state, &c, lambda);
-        let analytic = flat_grads(&grads);
+        let analytic = flat_params(&grads);
         let params = flat_params(&net);
 
         let loss = |n: &SdpNetwork| -> f64 {
@@ -691,10 +596,10 @@ mod tests {
             let mut cfg = SdpNetworkConfig::small(3, 2);
             cfg.timesteps = 5;
             let mut net = SdpNetwork::new(cfg, &mut rng());
-            let mut trainer = SdpTrainer::new(&net, spikefolio_tensor::optim::Adam::new(5e-3));
+            let mut trainer = ClippedAdam::new(&net, Adam::new(5e-3), Some(10.0));
             for _ in 0..80 {
-                let grads = backward_one(&net, &state, &d_action, lambda);
-                trainer.apply(&mut net, &grads);
+                let mut grads = backward_one(&net, &state, &d_action, lambda);
+                trainer.apply(&mut net, &mut grads);
             }
             let (_, stats) = net.act_with_stats(&state, &mut rng());
             stats.neuron_spikes
@@ -733,7 +638,7 @@ mod tests {
         // The event-driven weight gradient is bitwise identical: per output
         // element there is one contribution per stack row, so there is no
         // reduction to reorder.
-        assert_eq!(flat_grads(&sparse), flat_grads(&dense));
+        assert_eq!(flat_params(&sparse), flat_params(&dense));
     }
 
     #[test]

@@ -14,7 +14,7 @@ use spikefolio_snn::neuron::SpikeFn;
 use spikefolio_snn::stbp;
 use spikefolio_snn::{BatchNetworkTrace, BatchWorkspace};
 use spikefolio_telemetry::NoopRecorder;
-use spikefolio_tensor::Matrix;
+use spikefolio_tensor::{optim, Matrix};
 
 const TOL: f64 = 1e-12;
 
@@ -73,7 +73,7 @@ fn check_equivalence(encoding: Encoding) {
             assert_eq!(actions.row(b), action.row(0), "batch {batch} sample {b} ({encoding:?})");
             let acted = net.act(st.row(b), &mut StdRng::seed_from_u64(seeds[b]));
             assert_eq!(acted.as_slice(), action.row(0), "act, sample {b} ({encoding:?})");
-            reference.accumulate(&g);
+            optim::accumulate(&mut reference, &g);
         }
 
         for (k, (bg, rg)) in batched.layers.iter().zip(&reference.layers).enumerate() {
@@ -142,7 +142,7 @@ fn backward_batch_matches_finite_differences_on_soft_network() {
     let mut rngs: Vec<StdRng> = (0..batch).map(|b| StdRng::seed_from_u64(b as u64)).collect();
     net.forward_batch(&st, &mut rngs, &mut ws, &mut trace, &mut NoopRecorder);
     let grads = stbp::backward_batch(&net, &trace, &c, 0.0, &mut ws, &mut NoopRecorder);
-    let analytic = stbp::flat_grads(&grads);
+    let analytic = stbp::flat_params(&grads);
     let params = stbp::flat_params(&net);
     assert_eq!(analytic.len(), params.len());
 

@@ -1,13 +1,12 @@
 //! Cross-crate integration: checkpoints survive the full train → save →
 //! reload → trade pipeline, CSV market data round-trips through a
-//! backtest, and the EIIE / walk-forward extensions interoperate with the
-//! rest of the stack.
+//! backtest, and the EIIE extension interoperates with the rest of the
+//! stack.
 
 use spikefolio::agent::SdpAgent;
 use spikefolio::checkpoint;
 use spikefolio::config::SdpConfig;
 use spikefolio::eiie::EiieAgent;
-use spikefolio::online::{walk_forward, WalkForwardConfig};
 use spikefolio::training::Trainer;
 use spikefolio_env::Backtester;
 use spikefolio_market::experiments::ExperimentPreset;
@@ -71,19 +70,6 @@ fn eiie_trains_and_backtests_end_to_end() {
     for w in &r.weights {
         assert!(spikefolio_tensor::simplex::is_on_simplex(w, 1e-9));
     }
-}
-
-#[test]
-fn walk_forward_compounds_across_blocks() {
-    let market = ExperimentPreset::experiment3().shrunk(70, 0).generate(10);
-    let cfg = smoke_config();
-    let wf = WalkForwardConfig { train_window: 50, trade_window: 30, retrain_from_scratch: false };
-    let result = walk_forward(&cfg, wf, &market, 11);
-    // Value curve compounds: each entry is the cumulative product of the
-    // per-period growth factors, so log(final) = Σ log returns.
-    let final_v = *result.values.last().unwrap();
-    assert!((result.metrics.fapv - final_v).abs() < 1e-12);
-    assert!(result.retrainings >= 2);
 }
 
 #[test]

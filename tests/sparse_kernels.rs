@@ -29,10 +29,9 @@ use spikefolio_profile::CostReport;
 use spikefolio_snn::encoder::Encoding;
 use spikefolio_snn::network::{SdpNetwork, SdpNetworkConfig};
 use spikefolio_snn::neuron::SpikeFn;
-use spikefolio_snn::stbp::SdpTrainer;
 use spikefolio_snn::{stbp, BatchNetworkTrace, BatchWorkspace, SpikeSet};
 use spikefolio_telemetry::NoopRecorder;
-use spikefolio_tensor::optim::Adam;
+use spikefolio_tensor::optim::{self, Adam, ClippedAdam};
 use spikefolio_tensor::{gemm, sparse, Matrix};
 
 const BATCHES: [usize; 3] = [1, 8, 32];
@@ -123,8 +122,8 @@ fn backward_gradients_are_bitwise_equal_at_all_batch_sizes() {
             let sparse_g =
                 stbp::backward_batch(&net, &trace, &d_actions, 0.05, &mut ws, &mut NoopRecorder);
             assert_eq!(
-                stbp::flat_grads(&sparse_g),
-                stbp::flat_grads(&dense),
+                stbp::flat_params(&sparse_g),
+                stbp::flat_params(&dense),
                 "{kind} net, batch {batch}"
             );
         }
@@ -171,7 +170,7 @@ fn trained_model_regression_sparse_equals_dense_on_table3_slice() {
     let dim = agent.network.config().state_dim;
     let run = |mut ws: BatchWorkspace| {
         let mut net = agent.network.clone();
-        let mut trainer = SdpTrainer::new(&net, Adam::new(cfg.training.learning_rate));
+        let mut trainer = ClippedAdam::new(&net, Adam::new(cfg.training.learning_rate), Some(10.0));
         let mut trace = BatchNetworkTrace::new(&net, batch);
         let mut rewards = Vec::with_capacity(steps);
         for step in periods.chunks(batch) {
@@ -200,8 +199,8 @@ fn trained_model_regression_sparse_equals_dense_on_table3_slice() {
                 &mut ws,
                 &mut NoopRecorder,
             );
-            grads.scale(1.0 / batch as f64);
-            trainer.apply(&mut net, &grads);
+            optim::scale(&mut grads, 1.0 / batch as f64);
+            trainer.apply(&mut net, &mut grads);
         }
         (stbp::flat_params(&net), rewards)
     };
