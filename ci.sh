@@ -38,9 +38,12 @@ echo "==> benchmark crate (own workspace, so the steps above never build it)"
 cargo test --release --offline --manifest-path e2ebench/Cargo.toml
 # One short run per workload checks each output against its pinned
 # reference digest: scenario-matrix trains all four learners (SDP, DRL,
-# EIIE, DDPG); desk-rounds pins the SDP checkpoint layout and CRC.
+# EIIE, DDPG); desk-rounds pins the SDP checkpoint layout and CRC;
+# paper-tables is the only one that trains the medium net (64-wide
+# layer-0 drive, 2-thread SDP training), one cycle over its four
+# variants, ~20-30 s.
 mkdir -p target
-for workload in scenario-matrix desk-rounds; do
+for workload in scenario-matrix desk-rounds paper-tables; do
   cargo run --release --quiet --offline --manifest-path e2ebench/Cargo.toml -- \
     --workload "$workload" --seed 0 --seconds 1 --trace 0 \
     > "target/e2ebench_$workload.out" 2> "target/e2ebench_$workload.err" \

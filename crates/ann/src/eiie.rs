@@ -123,8 +123,8 @@ pub struct EiieGradients {
 /// Buffer order — conv1 weights and bias, conv2 weights and bias, the
 /// scoring head, its bias, then the cash bias — is the EIIE flat layout.
 impl Params for Eiie {
-    fn buffers(&self) -> Vec<&[f64]> {
-        vec![
+    fn buffers(&self) -> impl Iterator<Item = &[f64]> {
+        [
             self.conv1.weights.as_slice(),
             &self.conv1.bias,
             self.conv2.weights.as_slice(),
@@ -133,10 +133,11 @@ impl Params for Eiie {
             std::slice::from_ref(&self.head_bias),
             std::slice::from_ref(&self.cash_bias),
         ]
+        .into_iter()
     }
 
-    fn buffers_mut(&mut self) -> Vec<&mut [f64]> {
-        vec![
+    fn buffers_mut(&mut self) -> impl Iterator<Item = &mut [f64]> {
+        [
             self.conv1.weights.as_mut_slice(),
             &mut self.conv1.bias,
             self.conv2.weights.as_mut_slice(),
@@ -145,13 +146,14 @@ impl Params for Eiie {
             std::slice::from_mut(&mut self.head_bias),
             std::slice::from_mut(&mut self.cash_bias),
         ]
+        .into_iter()
     }
 }
 
 /// Same buffer order as the [`Eiie`] they were computed for.
 impl Params for EiieGradients {
-    fn buffers(&self) -> Vec<&[f64]> {
-        vec![
+    fn buffers(&self) -> impl Iterator<Item = &[f64]> {
+        [
             self.conv1.d_weights.as_slice(),
             &self.conv1.d_bias,
             self.conv2.d_weights.as_slice(),
@@ -160,10 +162,11 @@ impl Params for EiieGradients {
             std::slice::from_ref(&self.d_head_bias),
             std::slice::from_ref(&self.d_cash_bias),
         ]
+        .into_iter()
     }
 
-    fn buffers_mut(&mut self) -> Vec<&mut [f64]> {
-        vec![
+    fn buffers_mut(&mut self) -> impl Iterator<Item = &mut [f64]> {
+        [
             self.conv1.d_weights.as_mut_slice(),
             &mut self.conv1.d_bias,
             self.conv2.d_weights.as_mut_slice(),
@@ -172,6 +175,7 @@ impl Params for EiieGradients {
             std::slice::from_mut(&mut self.d_head_bias),
             std::slice::from_mut(&mut self.d_cash_bias),
         ]
+        .into_iter()
     }
 }
 

@@ -56,26 +56,23 @@ pub struct MlpGradients {
 /// Buffer order — each layer's weights then bias, input side first — is
 /// the DRL checkpoint layout.
 impl Params for Mlp {
-    fn buffers(&self) -> Vec<&[f64]> {
-        self.layers.iter().flat_map(|l| [l.weights.as_slice(), &l.bias[..]]).collect()
+    fn buffers(&self) -> impl Iterator<Item = &[f64]> {
+        self.layers.iter().flat_map(|l| [l.weights.as_slice(), &l.bias[..]])
     }
 
-    fn buffers_mut(&mut self) -> Vec<&mut [f64]> {
-        self.layers.iter_mut().flat_map(|l| [l.weights.as_mut_slice(), &mut l.bias[..]]).collect()
+    fn buffers_mut(&mut self) -> impl Iterator<Item = &mut [f64]> {
+        self.layers.iter_mut().flat_map(|l| [l.weights.as_mut_slice(), &mut l.bias[..]])
     }
 }
 
 /// Same buffer order as the [`Mlp`] they were computed for.
 impl Params for MlpGradients {
-    fn buffers(&self) -> Vec<&[f64]> {
-        self.layers.iter().flat_map(|l| [l.d_weights.as_slice(), &l.d_bias[..]]).collect()
+    fn buffers(&self) -> impl Iterator<Item = &[f64]> {
+        self.layers.iter().flat_map(|l| [l.d_weights.as_slice(), &l.d_bias[..]])
     }
 
-    fn buffers_mut(&mut self) -> Vec<&mut [f64]> {
-        self.layers
-            .iter_mut()
-            .flat_map(|l| [l.d_weights.as_mut_slice(), &mut l.d_bias[..]])
-            .collect()
+    fn buffers_mut(&mut self) -> impl Iterator<Item = &mut [f64]> {
+        self.layers.iter_mut().flat_map(|l| [l.d_weights.as_mut_slice(), &mut l.d_bias[..]])
     }
 }
 

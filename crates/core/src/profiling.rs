@@ -3,7 +3,8 @@
 //!
 //! The bench matrix exercises the two kernels that dominate training —
 //! the batched SNN forward pass and the batched STBP backward pass — at
-//! batch sizes 1/8/32, plus one seeded end-to-end Table 3 slice. Every
+//! batch sizes 1/8/32, the optimizer step that follows them, plus one
+//! seeded end-to-end Table 3 slice. Every
 //! workload is fully pinned (network seed, state fill, per-sample encoder
 //! seeds), so the op counts in a [`BenchBaseline`] are deterministic and
 //! the regression comparator can gate them tightly while wall-clock gets
@@ -30,6 +31,7 @@ use spikefolio_profile::{BenchBaseline, BenchEntry, ChromeTraceRecorder, CostRep
 use spikefolio_snn::network::SdpNetworkConfig;
 use spikefolio_snn::{stbp, BatchNetworkTrace, BatchWorkspace, SdpNetwork};
 use spikefolio_telemetry::{labels, MemoryRecorder, NoopRecorder};
+use spikefolio_tensor::optim::{self, Adam, ClippedAdam};
 use spikefolio_tensor::{gemm, Matrix};
 use std::collections::BTreeMap;
 use std::time::Instant;
@@ -102,6 +104,7 @@ pub fn run_bench_workloads(opts: &WorkloadOptions) -> BenchBaseline {
     let net = opts.kernel_network();
     let reps = opts.kernel_reps();
     let mut entries = Vec::new();
+    let mut grads = None;
 
     for batch in BENCH_BATCHES {
         let states = bench_states(batch, net.config().state_dim);
@@ -143,8 +146,9 @@ pub fn run_bench_workloads(opts: &WorkloadOptions) -> BenchBaseline {
         let mut wall_bwd = f64::INFINITY;
         for _ in 0..reps {
             let t0 = Instant::now();
-            let _ = stbp::backward_batch(&net, &trace, &d_actions, 0.0, &mut ws, &mut NoopRecorder);
+            let g = stbp::backward_batch(&net, &trace, &d_actions, 0.0, &mut ws, &mut NoopRecorder);
             wall_bwd = wall_bwd.min(t0.elapsed().as_secs_f64());
+            grads = Some(g);
         }
         entries.push(BenchEntry {
             name: format!("backward/b{batch}"),
@@ -154,9 +158,31 @@ pub fn run_bench_workloads(opts: &WorkloadOptions) -> BenchBaseline {
         });
     }
 
+    if let Some(g) = grads {
+        entries.push(optim_step(&net, &g, reps));
+    }
     entries.push(table3_slice(opts));
 
     BenchBaseline { created_unix: unix_now(), entries }
+}
+
+/// One SDP optimizer step as training runs it: reduce two micro-batch
+/// gradients into the minibatch mean, then one clipped-Adam step on a copy
+/// of `net`. Sub-millisecond, so it takes 20× the kernel reps.
+fn optim_step(net: &SdpNetwork, g: &stbp::SdpGradients, reps: u64) -> BenchEntry {
+    let reps = reps * 20;
+    let mut net = net.clone();
+    let mut trainer = ClippedAdam::new(&net, Adam::new(1e-3), Some(10.0));
+    let mut mean = stbp::SdpGradients::zeros_like(&net);
+    let mut wall_s = f64::INFINITY;
+    for _ in 0..reps {
+        let t0 = Instant::now();
+        optim::reduce_scaled(&mut mean, [g, g], 0.5);
+        trainer.apply(&mut net, &mut mean);
+        wall_s = wall_s.min(t0.elapsed().as_secs_f64());
+    }
+    let ops = BTreeMap::from([("params".to_owned(), net.num_params() as u64)]);
+    BenchEntry { name: "optim/step".to_owned(), wall_s, reps, ops }
 }
 
 /// One seeded end-to-end Table 3 slice (smoke scale in both modes so the
@@ -285,6 +311,8 @@ mod tests {
             assert_eq!(fwd.ops["sparse_events"], fwd.ops["synops"], "forward/b{batch}");
         }
         assert!(base.entry("table3/slice").is_some());
+        let step = base.entry("optim/step").expect("optimizer entry");
+        assert_eq!(step.ops["params"], stbp::flat_params(&opts.kernel_network()).len() as u64);
         // Re-running the same seed reproduces every op count.
         let again = run_bench_workloads(&opts);
         for e in &base.entries {

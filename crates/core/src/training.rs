@@ -342,6 +342,10 @@ pub struct SdpTrainingSession<'m> {
     step_counter: u64,
     epochs_run: u64,
     worker_caches: Vec<BatchCache>,
+    /// The minibatch gradient, reduced in place every step.
+    grads: stbp::SdpGradients,
+    /// Pre-step parameters, copied only when observing the update size.
+    params_before: Vec<f64>,
 }
 
 /// Point-in-time copy of everything that determines an SDP session's
@@ -426,9 +430,11 @@ impl SdpTrainingSession<'_> {
     ///    round-robin to `training.parallelism` workers. Each micro-batch
     ///    is one batched forward + reward gradient + batched STBP
     ///    backward, reusing the worker's cached workspace.
-    /// 3. **Phase 3 (sequential):** accumulate micro-batch gradients in
-    ///    micro-batch index order, write actions back into the PVM, and
-    ///    apply the Adam step.
+    /// 3. **Phase 3 (sequential):** write actions back into the PVM,
+    ///    reduce the micro-batch gradients in micro-batch index order into
+    ///    the session's gradient buffer (scaling to the batch mean in the
+    ///    same pass), and apply the clipped-Adam step. This phase
+    ///    allocates nothing.
     ///
     /// Because the work units (micro-batches) and the per-sample encoder
     /// seeds are independent of the worker count, epoch rewards and
@@ -569,23 +575,21 @@ impl SdpTrainingSession<'_> {
                 }
             }
 
-            // Phase 3 (sequential, micro-batch index order): accumulate
-            // gradients, write the PVM.
+            // Phase 3 (sequential, micro-batch index order): write the
+            // PVM, reduce the gradients, step.
             let apply_watch = Stopwatch::start(rec);
-            let mut grads = stbp::SdpGradients::zeros_like(&agent.network);
             let mut batch_reward = 0.0;
             let mut forward_s = 0.0;
             let mut backward_s = 0.0;
             let mut encode_s = 0.0;
             let mut lif_s = 0.0;
             let mut stbp_s = 0.0;
-            for out in results {
+            for out in &mut results {
                 // Every micro-batch slot is filled by exactly one worker
                 // above; an empty slot is a scheduler bug worth a panic.
                 #[allow(clippy::expect_used)]
-                let (samples, g, telemetry) = out.expect("micro-batch result missing");
-                optim::accumulate(&mut grads, &g);
-                for (t, action, r) in samples {
+                let (samples, _, telemetry) = out.as_mut().expect("micro-batch result missing");
+                for (t, action, r) in samples.drain(..) {
                     self.pvm.set(t, action);
                     batch_reward += r;
                 }
@@ -604,8 +608,9 @@ impl SdpTrainingSession<'_> {
                     }
                 }
             }
-            optim::scale(&mut grads, 1.0 / tc.batch_size as f64);
-            grad_norm_sum += optim::global_norm(&grads);
+            let grads = &mut self.grads;
+            let parts = results.iter().flatten().map(|(_, g, _)| g);
+            optim::reduce_scaled(grads, parts, 1.0 / tc.batch_size as f64);
             if observe {
                 rec.span(labels::SPAN_TRAIN_FORWARD, forward_s);
                 rec.span(labels::SPAN_TRAIN_BACKWARD, backward_s);
@@ -620,13 +625,11 @@ impl SdpTrainingSession<'_> {
                         + lg.d_bias.iter().map(|g| g * g).sum::<f64>();
                     *sum += sq.sqrt();
                 }
-                let before = stbp::flat_params(&agent.network);
-                self.trainer.apply(&mut agent.network, &mut grads);
-                let after = stbp::flat_params(&agent.network);
-                update_mag_sum +=
-                    before.iter().zip(&after).map(|(a, b)| (a - b) * (a - b)).sum::<f64>().sqrt();
+                optim::flat_params_into(&agent.network, &mut self.params_before);
+                grad_norm_sum += self.trainer.apply(&mut agent.network, grads);
+                update_mag_sum += optim::distance(&self.params_before, &agent.network);
             } else {
-                self.trainer.apply(&mut agent.network, &mut grads);
+                grad_norm_sum += self.trainer.apply(&mut agent.network, grads);
             }
             apply_watch.stop(rec, labels::SPAN_TRAIN_APPLY);
             epoch_reward += batch_reward;
@@ -744,6 +747,8 @@ impl Trainer {
             step_counter: 0,
             epochs_run: 0,
             worker_caches: Vec::new(),
+            grads: stbp::SdpGradients::zeros_like(&agent.network),
+            params_before: Vec::new(),
         }
     }
 
@@ -970,9 +975,7 @@ trait DenseLearner {
 /// returns the pre-clip global norm.
 fn step(trainer: &mut ClippedAdam, net: &mut impl Params, mut grads: impl Params, inv: f64) -> f64 {
     optim::scale(&mut grads, inv);
-    let norm = optim::global_norm(&grads);
-    trainer.apply(net, &mut grads);
-    norm
+    trainer.apply(net, &mut grads)
 }
 
 struct DrlLearner<'a> {

@@ -281,43 +281,33 @@ pub fn backward_batch(
 /// Buffer order — each LIF layer's weights then bias, input side first,
 /// then the decoder weights and bias — is the SDP checkpoint layout.
 impl Params for SdpNetwork {
-    fn buffers(&self) -> Vec<&[f64]> {
+    fn buffers(&self) -> impl Iterator<Item = &[f64]> {
         let decoder = [&self.decoder.weights[..], &self.decoder.bias[..]];
-        self.layers
-            .iter()
-            .flat_map(|l| [l.weights.as_slice(), &l.bias[..]])
-            .chain(decoder)
-            .collect()
+        self.layers.iter().flat_map(|l| [l.weights.as_slice(), &l.bias[..]]).chain(decoder)
     }
 
-    fn buffers_mut(&mut self) -> Vec<&mut [f64]> {
+    fn buffers_mut(&mut self) -> impl Iterator<Item = &mut [f64]> {
         let decoder = [&mut self.decoder.weights[..], &mut self.decoder.bias[..]];
         self.layers
             .iter_mut()
             .flat_map(|l| [l.weights.as_mut_slice(), &mut l.bias[..]])
             .chain(decoder)
-            .collect()
     }
 }
 
 /// Same buffer order as the [`SdpNetwork`] they were computed for.
 impl Params for SdpGradients {
-    fn buffers(&self) -> Vec<&[f64]> {
+    fn buffers(&self) -> impl Iterator<Item = &[f64]> {
         let decoder = [&self.d_decoder_weights[..], &self.d_decoder_bias[..]];
-        self.layers
-            .iter()
-            .flat_map(|l| [l.d_weights.as_slice(), &l.d_bias[..]])
-            .chain(decoder)
-            .collect()
+        self.layers.iter().flat_map(|l| [l.d_weights.as_slice(), &l.d_bias[..]]).chain(decoder)
     }
 
-    fn buffers_mut(&mut self) -> Vec<&mut [f64]> {
+    fn buffers_mut(&mut self) -> impl Iterator<Item = &mut [f64]> {
         let decoder = [&mut self.d_decoder_weights[..], &mut self.d_decoder_bias[..]];
         self.layers
             .iter_mut()
             .flat_map(|l| [l.d_weights.as_mut_slice(), &mut l.d_bias[..]])
             .chain(decoder)
-            .collect()
     }
 }
 

@@ -4,14 +4,23 @@
 //! the same step: average the minibatch gradient, clip its global L2
 //! norm, then take an Adam step. This module holds that step once:
 //!
-//! * [`Params`] views a network (or its gradients) as an ordered list of
-//!   flat `f64` buffers. A network and its gradient type list their
+//! * [`Params`] views a network (or its gradients) as an ordered sequence
+//!   of flat `f64` buffers. A network and its gradient type list their
 //!   buffers in the same order, and that order is also the layout of
-//!   [`flat_params`] — the checkpoint payload.
-//! * [`accumulate`], [`scale`], [`global_norm`], [`flat_params`] and
-//!   [`set_flat_params`] work on any [`Params`].
+//!   [`flat_params`] — the checkpoint payload. The view borrows the
+//!   buffers in place, so walking it allocates nothing.
+//! * [`accumulate`], [`reduce_scaled`], [`scale`], [`global_norm`],
+//!   [`flat_params`], [`flat_params_into`], [`set_flat_params`] and
+//!   [`distance`] work on any [`Params`].
 //! * [`ClippedAdam`] owns one [`Adam`] slot per buffer and applies the
-//!   clipped step.
+//!   clipped step. It computes the gradient's global norm once per step
+//!   and returns it, so callers that report the norm never recompute it.
+//!
+//! The step streams every buffer through a few element-wise passes —
+//! norm, clip (only when it fires), and one zipped Adam loop over
+//! `(param, grad, m, v)` that the compiler vectorizes. No pass
+//! reassociates a sum or fuses a multiply-add, so the result is bitwise
+//! the naive scalar loop's.
 
 /// An ordered view of trainable `f64` buffers.
 ///
@@ -20,10 +29,26 @@
 /// positions with the same lengths.
 pub trait Params {
     /// Every buffer, in layout order.
-    fn buffers(&self) -> Vec<&[f64]>;
+    fn buffers(&self) -> impl Iterator<Item = &[f64]>;
 
     /// Every buffer, mutably, in layout order.
-    fn buffers_mut(&mut self) -> Vec<&mut [f64]>;
+    fn buffers_mut(&mut self) -> impl Iterator<Item = &mut [f64]>;
+}
+
+/// Pairs the buffers of two layouts, asserting that they agree.
+fn paired<'a, 'b>(
+    a: impl Iterator<Item = &'a mut [f64]>,
+    b: impl Iterator<Item = &'b [f64]>,
+) -> impl Iterator<Item = (&'a mut [f64], &'b [f64])> {
+    let (mut a, mut b) = (a.fuse(), b.fuse());
+    std::iter::from_fn(move || match (a.next(), b.next()) {
+        (Some(x), Some(y)) => {
+            assert_eq!(x.len(), y.len(), "buffer length mismatch");
+            Some((x, y))
+        }
+        (None, None) => None,
+        _ => panic!("buffer count mismatch"),
+    })
 }
 
 /// Adds `other` into `acc`, buffer by buffer.
@@ -32,13 +57,48 @@ pub trait Params {
 ///
 /// Panics if the two layouts differ.
 pub fn accumulate(acc: &mut impl Params, other: &impl Params) {
-    let (dst, src) = (acc.buffers_mut(), other.buffers());
-    assert_eq!(dst.len(), src.len(), "buffer count mismatch");
-    for (a, b) in dst.into_iter().zip(src) {
-        assert_eq!(a.len(), b.len(), "buffer length mismatch");
+    for (a, b) in paired(acc.buffers_mut(), other.buffers()) {
         for (x, y) in a.iter_mut().zip(b) {
             *x += y;
         }
+    }
+}
+
+/// Overwrites `dst` with `alpha · Σ parts`, summing the parts in iteration
+/// order from `0.0` and scaling in the last part's pass.
+///
+/// Bitwise equal to zeroing `dst`, [`accumulate`]-ing every part in order
+/// and then [`scale`]-ing by `alpha`, without the separate zeroing and
+/// scaling passes. No parts leave `dst` at `0.0 · alpha`.
+///
+/// # Panics
+///
+/// Panics if a part's layout differs from `dst`'s.
+pub fn reduce_scaled<'a, P: Params + 'a>(
+    dst: &mut impl Params,
+    parts: impl IntoIterator<Item = &'a P>,
+    alpha: f64,
+) {
+    let mut parts = parts.into_iter().peekable();
+    if parts.peek().is_none() {
+        for d in dst.buffers_mut() {
+            d.fill(0.0 * alpha);
+        }
+        return;
+    }
+    let mut first = true;
+    while let Some(part) = parts.next() {
+        let last = parts.peek().is_none();
+        for (d, g) in paired(dst.buffers_mut(), part.buffers()) {
+            let pairs = d.iter_mut().zip(g);
+            match (first, last) {
+                (true, true) => pairs.for_each(|(d, &g)| *d = (0.0 + g) * alpha),
+                (true, false) => pairs.for_each(|(d, &g)| *d = 0.0 + g),
+                (false, false) => pairs.for_each(|(d, &g)| *d += g),
+                (false, true) => pairs.for_each(|(d, &g)| *d = (*d + g) * alpha),
+            }
+        }
+        first = false;
     }
 }
 
@@ -61,7 +121,20 @@ pub fn global_norm(p: &impl Params) -> f64 {
 
 /// Concatenates every buffer in layout order.
 pub fn flat_params(p: &impl Params) -> Vec<f64> {
-    p.buffers().concat()
+    let mut flat = Vec::new();
+    flat_params_into(p, &mut flat);
+    flat
+}
+
+/// [`flat_params`] into `out`, reusing its allocation.
+pub fn flat_params_into(p: &impl Params, out: &mut Vec<f64>) {
+    out.clear();
+    // Sized up front: growing buffer by buffer would over-allocate up to
+    // twice the parameter count and copy on every doubling.
+    out.reserve_exact(p.buffers().map(<[f64]>::len).sum());
+    for b in p.buffers() {
+        out.extend_from_slice(b);
+    }
 }
 
 /// Writes a [`flat_params`] vector back into `p`.
@@ -78,6 +151,26 @@ pub fn set_flat_params(p: &mut impl Params, flat: &[f64]) {
         rest = tail;
     }
     assert!(rest.is_empty(), "flat parameter vector has wrong length");
+}
+
+/// L2 distance between a [`flat_params`] vector and the live buffers of
+/// `p`: the square root of `Σ (flat_i − p_i)²`, added in flat order.
+/// Bitwise equal to the same fold over two [`flat_params`] copies.
+///
+/// # Panics
+///
+/// Panics if `flat.len()` differs from the total buffer length.
+pub fn distance(flat: &[f64], p: &impl Params) -> f64 {
+    let mut live = p.buffers().flatten();
+    let sq = flat
+        .iter()
+        .map(|a| {
+            let b = live.next().expect("flat parameter vector has wrong length");
+            (a - b) * (a - b)
+        })
+        .sum::<f64>();
+    assert!(live.next().is_none(), "flat parameter vector has wrong length");
+    sq.sqrt()
 }
 
 /// Adam (Kingma & Ba, 2015) with bias correction.
@@ -115,6 +208,10 @@ impl Adam {
 
     /// Applies one update to `params` given `grads`.
     ///
+    /// One zipped pass over `(param, grad, m, v)`: no indexing, so the
+    /// loop vectorizes, and every element sees the textbook operations in
+    /// the textbook order (no fused multiply-add, no reciprocal).
+    ///
     /// # Panics
     ///
     /// Panics if `params.len() != grads.len()` or doesn't match the
@@ -124,15 +221,17 @@ impl Adam {
         let s = &mut self.state[slot];
         assert_eq!(s.m.len(), params.len(), "slot length mismatch");
         s.t += 1;
-        let b1t = 1.0 - self.beta1.powi(s.t as i32);
-        let b2t = 1.0 - self.beta2.powi(s.t as i32);
-        for i in 0..params.len() {
-            let g = grads[i];
-            s.m[i] = self.beta1 * s.m[i] + (1.0 - self.beta1) * g;
-            s.v[i] = self.beta2 * s.v[i] + (1.0 - self.beta2) * g * g;
-            let m_hat = s.m[i] / b1t;
-            let v_hat = s.v[i] / b2t;
-            params[i] -= self.lr * m_hat / (v_hat.sqrt() + self.eps);
+        let (beta1, beta2, lr, eps) = (self.beta1, self.beta2, self.lr, self.eps);
+        let (one_m_b1, one_m_b2) = (1.0 - beta1, 1.0 - beta2);
+        let b1t = 1.0 - beta1.powi(s.t as i32);
+        let b2t = 1.0 - beta2.powi(s.t as i32);
+        let moments = s.m.iter_mut().zip(s.v.iter_mut());
+        for ((p, &g), (m, v)) in params.iter_mut().zip(grads).zip(moments) {
+            *m = beta1 * *m + one_m_b1 * g;
+            *v = beta2 * *v + one_m_b2 * g * g;
+            let m_hat = *m / b1t;
+            let v_hat = *v / b2t;
+            *p -= lr * m_hat / (v_hat.sqrt() + eps);
         }
     }
 }
@@ -149,11 +248,11 @@ impl Adam {
 /// struct Weights(Vec<f64>);
 ///
 /// impl Params for Weights {
-///     fn buffers(&self) -> Vec<&[f64]> {
-///         vec![&self.0]
+///     fn buffers(&self) -> impl Iterator<Item = &[f64]> {
+///         std::iter::once(&self.0[..])
 ///     }
-///     fn buffers_mut(&mut self) -> Vec<&mut [f64]> {
-///         vec![&mut self.0]
+///     fn buffers_mut(&mut self) -> impl Iterator<Item = &mut [f64]> {
+///         std::iter::once(&mut self.0[..])
 ///     }
 /// }
 ///
@@ -162,7 +261,8 @@ impl Adam {
 /// let mut trainer = ClippedAdam::new(&x, Adam::new(0.2), Some(10.0));
 /// for _ in 0..300 {
 ///     let mut grad = Weights(vec![2.0 * (x.0[0] - 3.0)]);
-///     trainer.apply(&mut x, &mut grad);
+///     let norm = trainer.apply(&mut x, &mut grad);
+///     assert!(norm >= 0.0);
 /// }
 /// assert!((x.0[0] - 3.0).abs() < 1e-3);
 /// ```
@@ -182,27 +282,30 @@ impl ClippedAdam {
         Self { adam, max_grad_norm }
     }
 
-    /// Clips `grads` in place to `max_grad_norm` (when its
-    /// [`global_norm`] exceeds it), then takes one Adam descent step on
-    /// `net`.
+    /// Computes the [`global_norm`] of `grads`, clips `grads` in place to
+    /// `max_grad_norm` when the norm exceeds it, then takes one Adam
+    /// descent step on `net`. Returns the pre-clip norm.
     ///
     /// # Panics
     ///
     /// Panics if `net` or `grads` is laid out differently from the network
     /// this trainer was built for.
-    pub fn apply(&mut self, net: &mut impl Params, grads: &mut impl Params) {
+    pub fn apply(&mut self, net: &mut impl Params, grads: &mut impl Params) -> f64 {
+        let norm = global_norm(grads);
         if let Some(max) = self.max_grad_norm {
-            let n = global_norm(grads);
-            if n > max && n > 0.0 {
-                scale(grads, max / n);
+            if norm > max && norm > 0.0 {
+                scale(grads, max / norm);
             }
         }
-        let (params, grads) = (net.buffers_mut(), grads.buffers());
-        assert_eq!(params.len(), self.adam.state.len(), "network buffer count mismatch");
-        assert_eq!(grads.len(), self.adam.state.len(), "gradient buffer count mismatch");
-        for (slot, (p, g)) in params.into_iter().zip(grads).enumerate() {
-            self.adam.step(slot, p, g);
+        let slots = self.adam.state.len();
+        let mut count = 0;
+        for (p, g) in paired(net.buffers_mut(), grads.buffers()) {
+            assert!(count < slots, "network buffer count mismatch");
+            self.adam.step(count, p, g);
+            count += 1;
         }
+        assert_eq!(count, slots, "network buffer count mismatch");
+        norm
     }
 }
 
@@ -219,11 +322,11 @@ mod tests {
     }
 
     impl Params for Two {
-        fn buffers(&self) -> Vec<&[f64]> {
-            vec![&self.w, std::slice::from_ref(&self.b)]
+        fn buffers(&self) -> impl Iterator<Item = &[f64]> {
+            [&self.w[..], std::slice::from_ref(&self.b)].into_iter()
         }
-        fn buffers_mut(&mut self) -> Vec<&mut [f64]> {
-            vec![&mut self.w, std::slice::from_mut(&mut self.b)]
+        fn buffers_mut(&mut self) -> impl Iterator<Item = &mut [f64]> {
+            [&mut self.w[..], std::slice::from_mut(&mut self.b)].into_iter()
         }
     }
 
@@ -333,6 +436,142 @@ mod tests {
         adam.step(sw, &mut w, &[30.0 * (1.0 / 50.0), 0.0]);
         adam.step(sb, &mut b, &[40.0 * (1.0 / 50.0)]);
         assert_eq!(net, Two { w, b: b[0] });
+    }
+
+    /// The textbook scalar Adam loop, indexed element by element: the
+    /// reference the vectorized step must reproduce bit for bit.
+    struct ScalarAdam {
+        m: Vec<Vec<f64>>,
+        v: Vec<Vec<f64>>,
+        t: i32,
+    }
+
+    impl ScalarAdam {
+        fn new(net: &Two) -> Self {
+            let zeros: Vec<Vec<f64>> = net.buffers().map(|b| vec![0.0; b.len()]).collect();
+            Self { m: zeros.clone(), v: zeros, t: 0 }
+        }
+
+        fn step(&mut self, net: &mut Two, grads: &Two, lr: f64) {
+            let (beta1, beta2, eps) = (0.9f64, 0.999f64, 1e-8);
+            self.t += 1;
+            let b1t = 1.0 - beta1.powi(self.t);
+            let b2t = 1.0 - beta2.powi(self.t);
+            for (slot, (p, g)) in net.buffers_mut().zip(grads.buffers()).enumerate() {
+                let (m, v) = (&mut self.m[slot], &mut self.v[slot]);
+                for i in 0..p.len() {
+                    m[i] = beta1 * m[i] + (1.0 - beta1) * g[i];
+                    v[i] = beta2 * v[i] + (1.0 - beta2) * g[i] * g[i];
+                    let m_hat = m[i] / b1t;
+                    let v_hat = v[i] / b2t;
+                    p[i] -= lr * m_hat / (v_hat.sqrt() + eps);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn vectorized_step_equals_the_scalar_loop_bitwise() {
+        // 37 lanes (several SIMD widths plus a tail) and the 1-element
+        // buffer; four steps, the second one clipped.
+        let w0: Vec<f64> = (0..37).map(|i| ((i * 7919) % 97) as f64 / 97.0 - 0.5).collect();
+        let start = Two { w: w0, b: 0.125 };
+        let mut net = start.clone();
+        let mut trainer = ClippedAdam::new(&net, Adam::new(0.05), Some(4.0));
+        let mut reference = start.clone();
+        let mut scalar = ScalarAdam::new(&reference);
+        let mut clipped = 0;
+        for step in 0..4 {
+            let amp = if step == 1 { 50.0 } else { 0.1 };
+            let g = Two {
+                w: (0..37).map(|i| amp * (((i + step) * 31) % 13) as f64 / 13.0 - 0.02).collect(),
+                b: -amp * 0.3,
+            };
+            let norm = global_norm(&g);
+            let mut expected = g.clone();
+            if norm > 4.0 {
+                clipped += 1;
+                for x in expected.buffers_mut().flatten() {
+                    *x *= 4.0 / norm;
+                }
+            }
+            scalar.step(&mut reference, &expected, 0.05);
+            let mut g = g;
+            assert_eq!(trainer.apply(&mut net, &mut g), norm, "step {step}");
+            assert_eq!(g, expected, "step {step}: clipped gradient");
+            assert_eq!(net, reference, "step {step}: parameters");
+        }
+        assert_eq!(clipped, 1, "exactly one step must clip");
+        assert_ne!(net, start);
+    }
+
+    #[test]
+    fn apply_returns_the_norm_of_the_reduced_gradient() {
+        let parts = [
+            Two { w: vec![0.5, -1.5, 2.25], b: 0.75 },
+            Two { w: vec![-0.1, 0.3, 1e-3], b: -2.0 },
+            Two { w: vec![3.0, 0.0, -0.7], b: 0.2 },
+        ];
+        let mut reduced = Two { w: vec![9.0; 3], b: 9.0 };
+        reduce_scaled(&mut reduced, &parts, 1.0 / 3.0);
+        // The reduction is bitwise zero + accumulate in order + scale.
+        let mut expected = Two { w: vec![0.0; 3], b: 0.0 };
+        for p in &parts {
+            accumulate(&mut expected, p);
+        }
+        scale(&mut expected, 1.0 / 3.0);
+        assert_eq!(reduced, expected);
+        let norm = global_norm(&reduced);
+        let mut net = Two { w: vec![0.0; 3], b: 0.0 };
+        for max in [None, Some(1.0)] {
+            let mut trainer = ClippedAdam::new(&net, Adam::new(0.1), max);
+            let mut g = reduced.clone();
+            assert_eq!(trainer.apply(&mut net, &mut g), norm, "max {max:?}");
+        }
+    }
+
+    #[test]
+    fn reduce_of_one_part_and_of_none() {
+        let part = Two { w: vec![-0.0, 1.5], b: -3.0 };
+        let mut dst = Two { w: vec![7.0, 7.0], b: 7.0 };
+        reduce_scaled(&mut dst, [&part], 2.0);
+        // `0.0 + -0.0` is `+0.0`, as when accumulating into zeros.
+        assert!(dst.w[0] == 0.0 && dst.w[0].is_sign_positive());
+        assert_eq!(dst, Two { w: vec![0.0, 3.0], b: -6.0 });
+        reduce_scaled::<Two>(&mut dst, [], 2.0);
+        assert_eq!(dst, Two { w: vec![0.0, 0.0], b: 0.0 });
+    }
+
+    #[test]
+    #[should_panic(expected = "buffer length mismatch")]
+    fn reduce_rejects_a_mismatched_part() {
+        let mut dst = Two { w: vec![0.0; 2], b: 0.0 };
+        reduce_scaled(&mut dst, [&Two { w: vec![0.0; 3], b: 0.0 }], 1.0);
+    }
+
+    #[test]
+    fn distance_equals_the_two_copy_formula() {
+        let mut net = Two { w: (0..19).map(|i| i as f64 * 0.37 - 2.0).collect(), b: -0.6 };
+        let mut trainer = ClippedAdam::new(&net, Adam::new(0.01), Some(1.0));
+        let mut before = vec![123.0]; // stale contents are overwritten
+        for step in 0..3 {
+            flat_params_into(&net, &mut before);
+            let copy = flat_params(&net);
+            assert_eq!(before, copy);
+            let mut g = Two { w: (0..19).map(|i| ((i + step) % 5) as f64 - 2.0).collect(), b: 1.0 };
+            trainer.apply(&mut net, &mut g);
+            let after = flat_params(&net);
+            let two_copy =
+                copy.iter().zip(&after).map(|(a, b)| (a - b) * (a - b)).sum::<f64>().sqrt();
+            assert_eq!(distance(&before, &net), two_copy, "step {step}");
+            assert!(two_copy > 0.0);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "wrong length")]
+    fn distance_rejects_a_short_vector() {
+        distance(&[1.0, 2.0], &Two { w: vec![0.0, 0.0], b: 0.0 });
     }
 
     #[test]

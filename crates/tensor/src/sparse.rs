@@ -14,12 +14,14 @@
 //!
 //! Every kernel reproduces the dense reference **bitwise**:
 //!
-//! * [`spike_drive`] accumulates `out[b][j] += x_k · wt[k][j]` with `k`
-//!   ascending over the active set — the same additions, in the same
-//!   order, as the k-ascending zero-skipping dot products of
+//! * [`spike_drive`] accumulates `out[b][j] += x_k · wt[k][j]` from
+//!   `0.0` with `k` ascending over the active set — the same additions, in
+//!   the same order, as the k-ascending zero-skipping dot products of
 //!   [`crate::gemm::gemm_nt`]. Each output element is one accumulator
-//!   chain; the 4-wide inner lanes run *across* independent `j` chains and
-//!   never reassociate within one.
+//!   chain. The SIMD lanes run *across* independent `j` chains (a register
+//!   tile of 64, 32, 16 or 8 outputs held over a sample's whole event
+//!   list, or the 8-wide lanes of the k-major merge) and never reassociate
+//!   within one.
 //! * [`spike_outer_acc`] applies rank-1 updates row-ascending with the
 //!   `(alpha · a) · b` evaluation order of
 //!   [`crate::gemm::gemm_tn_acc`]. Skipping zero `b` columns cannot flip
@@ -155,13 +157,10 @@ impl SpikeSet {
     }
 }
 
-/// `out[b][j] += x · w[j]` across four independent `j` lanes. Each `out[j]`
+/// `out[j] += x · w[j]` across eight independent `j` lanes. Each `out[j]`
 /// is its own accumulator chain, so the unrolling changes instruction-level
 /// parallelism (and lets the autovectorizer emit SIMD mul+add) without
 /// reordering any chain — bitwise identical to the naive loop.
-///
-/// Always inlined: at small fan-out (the final population layer is ~a
-/// dozen outputs) a real call per event would cost as much as the madds.
 #[inline(always)]
 fn axpy_lanes(x: f64, w: &[f64], out: &mut [f64]) {
     debug_assert_eq!(w.len(), out.len());
@@ -181,6 +180,37 @@ fn axpy_lanes(x: f64, w: &[f64], out: &mut [f64]) {
     for (o, &wv) in o_tail.iter_mut().zip(w_tail) {
         *o += x * wv;
     }
+}
+
+/// One register tile of the per-sample walk: `out[j] = Σ x_k · wt[k][j]`
+/// over the `lanes ≤ W` outputs `j0..j0 + lanes`, with `k` running over
+/// `active` in ascending order. The accumulators live in a local `W`-wide
+/// array the whole walk long and are stored once at the end, so an event
+/// costs one load of the tile's weights and its mul+adds, not a load and
+/// store of the output row too. Each lane is its own chain from `0.0`,
+/// exactly the dot product of [`crate::gemm::gemm_nt`]. Returns `lanes`.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)] // inlined into its one caller
+fn drive_tile<const W: usize>(
+    vrow: &[f64],
+    active: &[u32],
+    wt: &[f64],
+    n: usize,
+    j0: usize,
+    lanes: usize,
+    out: &mut [f64],
+) -> usize {
+    let mut acc = [0.0f64; W];
+    let acc = &mut acc[..lanes];
+    for &ki in active {
+        let ki = ki as usize;
+        let x = vrow[ki];
+        for (a, &wv) in acc.iter_mut().zip(&wt[ki * n + j0..][..lanes]) {
+            *a += x * wv;
+        }
+    }
+    out[j0..j0 + lanes].copy_from_slice(acc);
+    lanes
 }
 
 /// Event-driven synaptic drive: `out[bsz × n] = vals[bsz × k] · wt[k × n]`
@@ -223,15 +253,19 @@ pub fn spike_drive(
         set.rows(),
         row0 + bsz
     );
-    out.iter_mut().for_each(|v| *v = 0.0);
     let mut events = 0u64;
     // Strategy: the per-sample event walk is branch-free (the event list
-    // IS the iteration space) and optimal while the transposed weights
-    // stay cache-resident. Once `wt` overflows the fast caches, walking
-    // it per sample re-streams the whole matrix `bsz` times — there the
-    // column-major merge below pulls each `wt` row through the cache once
-    // per timestep instead. Both orders apply every sample's events with
-    // `k` ascending, so they are bitwise interchangeable.
+    // IS the iteration space). It splits the output row into register
+    // tiles of 64, 32, 16 and 8 lanes plus a partial tile for the last
+    // < 8, and walks the sample's events once per tile with the tile's
+    // accumulators held in registers, so the output row is written once,
+    // not once per event.
+    // That is optimal while the transposed weights stay cache-resident.
+    // Once `wt` overflows the fast caches, walking it per sample
+    // re-streams the whole matrix `bsz` times — there the column-major
+    // merge below pulls each `wt` row through the cache once per timestep
+    // instead. Both orders apply every sample's events with `k` ascending
+    // from `0.0`, so they are bitwise interchangeable.
     const KMAJOR_MIN_WT_BYTES: usize = 1 << 20;
     let kmajor = bsz >= 4 && core::mem::size_of_val(wt) > KMAJOR_MIN_WT_BYTES;
     if !kmajor {
@@ -240,9 +274,15 @@ pub fn spike_drive(
             events += active.len() as u64;
             let vrow = &vals[b * k..(b + 1) * k];
             let orow = &mut out[b * n..(b + 1) * n];
-            for &ki in active {
-                let ki = ki as usize;
-                axpy_lanes(vrow[ki], &wt[ki * n..(ki + 1) * n], orow);
+            let mut j0 = 0;
+            while j0 < n {
+                j0 += match n - j0 {
+                    64.. => drive_tile::<64>(vrow, active, wt, n, j0, 64, orow),
+                    32.. => drive_tile::<32>(vrow, active, wt, n, j0, 32, orow),
+                    16.. => drive_tile::<16>(vrow, active, wt, n, j0, 16, orow),
+                    8.. => drive_tile::<8>(vrow, active, wt, n, j0, 8, orow),
+                    tail => drive_tile::<8>(vrow, active, wt, n, j0, tail, orow),
+                };
             }
         }
         return events.saturating_mul(n as u64);
@@ -250,6 +290,7 @@ pub fn spike_drive(
     // Column-major merge: every sample's row is ascending, so walking a
     // shared `ki` front with one cursor per sample applies each sample's
     // events in exactly the per-sample order.
+    out.iter_mut().for_each(|v| *v = 0.0);
     let active: Vec<&[u32]> = (0..bsz).map(|b| set.row(row0 + b)).collect();
     let mut cur = vec![0usize; bsz];
     for ki in 0..k {

@@ -4,15 +4,18 @@
 //!
 //! * **Network level** — batched forward traces and backward gradients at
 //!   b1/b8/b32 are *bitwise* equal between a default workspace and one
-//!   built with [`BatchWorkspace::dense_reference`], for hard, soft, and
-//!   adaptive (ALIF) networks.
+//!   built with [`BatchWorkspace::dense_reference`], for hard, soft,
+//!   adaptive (ALIF) and 64-wide (a full register tile) networks.
 //! * **Training level** — thread-count invariance holds on the sparse
 //!   path, and a short seeded training loop on Table-3 slice states lands
 //!   on bit-identical final weights with either kernel set.
 //! * **Kernel level** — a proptest battery over adversarial spike
 //!   patterns (all-zero timesteps, fully-dense timesteps, single-neuron
 //!   spikes, ragged per-sample sparsity) pins `spike_drive` /
-//!   `spike_outer_acc` bitwise to the dense GEMMs.
+//!   `spike_outer_acc` bitwise to the dense GEMMs, with output widths that
+//!   reach every register tile (64/32/16/8 lanes and the partial tail).
+//!   Deterministic cases add the paper-scale layer-0 shape and a shape
+//!   above the k-major merge threshold.
 //!
 //! The accounting test closes the loop the CI bench smoke also checks:
 //! the event count tallied by the kernels while propagating spikes must
@@ -74,7 +77,15 @@ fn nets() -> Vec<(&'static str, SdpNetwork)> {
         },
         &mut rng,
     );
-    vec![("hard", hard), ("probabilistic", prob), ("soft", soft), ("alif", alif)]
+    let wide = SdpNetwork::new(
+        {
+            let mut c = SdpNetworkConfig::small(6, 3);
+            c.hidden = vec![64, 12];
+            c
+        },
+        &mut rng,
+    );
+    vec![("hard", hard), ("probabilistic", prob), ("soft", soft), ("alif", alif), ("wide", wide)]
 }
 
 /// Runs the pinned forward pass on `ws` (sample `b` seeded `1000 + b`)
@@ -285,6 +296,57 @@ fn weights(out_dim: usize, in_dim: usize, seed: u64) -> Matrix {
     Matrix::from_fn(out_dim, in_dim, |_, _| rng.gen_range(-0.5..0.5))
 }
 
+/// `spike_drive` against `gemm_nt` on one `bsz × in_dim` raster at ~30%
+/// density, binary or graded.
+fn assert_drive_matches_dense(bsz: usize, in_dim: usize, out_dim: usize, soft: bool, seed: u64) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let vals = Matrix::from_fn(bsz, in_dim, |_, _| match (rng.gen_bool(0.3), soft) {
+        (false, _) => 0.0,
+        (true, false) => 1.0,
+        (true, true) => 0.25 + 0.75 * rng.gen_range(0.0..1.0),
+    });
+    let set = SpikeSet::from_matrix(&vals);
+    let w = weights(out_dim, in_dim, seed);
+    let mut dense = vec![0.0; bsz * out_dim];
+    gemm::gemm_nt(vals.as_slice(), w.as_slice(), &mut dense, bsz, in_dim, out_dim);
+    let mut sparse_out = vec![f64::NAN; bsz * out_dim];
+    let wt = w.transposed();
+    let synops = sparse::spike_drive(
+        vals.as_slice(),
+        &set,
+        0,
+        wt.as_slice(),
+        &mut sparse_out,
+        bsz,
+        in_dim,
+        out_dim,
+    );
+    let label = format!("B={bsz} {in_dim}x{out_dim} soft={soft}");
+    assert!(dense.iter().all(|v| *v != 0.0), "{label}: every output must see events");
+    assert_eq!(sparse_out, dense, "{label}");
+    assert_eq!(synops, set.nnz() * out_dim as u64, "{label}");
+}
+
+#[test]
+fn drive_matches_dense_at_the_paper_layer0_shape() {
+    // The medium-scale layer 0: a 1656-wide population code into 64
+    // neurons, one micro-batch of 16 (one full 64-lane tile per sample).
+    for soft in [false, true] {
+        assert_drive_matches_dense(16, 1656, 64, soft, 41);
+    }
+}
+
+#[test]
+fn drive_matches_dense_above_the_kmajor_threshold() {
+    // 3640 x 128 weights are 3.6 MiB: batches of 4 and more take the
+    // k-major merge, a batch of one the per-sample tiled walk.
+    for bsz in [1, 4, 16] {
+        for soft in [false, true] {
+            assert_drive_matches_dense(bsz, 3640, 128, soft, 43);
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -296,7 +358,7 @@ proptest! {
         bsz in 1usize..7,
         t_max in 1usize..5,
         in_dim in 1usize..40,
-        out_dim in 1usize..24,
+        out_dim in 1usize..=130,
         seed in 0u64..1000,
     ) {
         let rows = t_max * bsz;
