@@ -41,9 +41,12 @@ cargo test --release --offline --manifest-path e2ebench/Cargo.toml
 # EIIE, DDPG); desk-rounds pins the SDP checkpoint layout and CRC;
 # paper-tables is the only one that trains the medium net (64-wide
 # layer-0 drive, 2-thread SDP training), one cycle over its four
-# variants, ~20-30 s.
+# variants, ~20-30 s; serve-open compares every weight vector the
+# paper-scale server returns bitwise with a direct `act`, which guards
+# that the served network's cached transposed weights match its
+# weights, ~2.5 s.
 mkdir -p target
-for workload in scenario-matrix desk-rounds paper-tables; do
+for workload in scenario-matrix desk-rounds paper-tables serve-open; do
   cargo run --release --quiet --offline --manifest-path e2ebench/Cargo.toml -- \
     --workload "$workload" --seed 0 --seconds 1 --trace 0 \
     > "target/e2ebench_$workload.out" 2> "target/e2ebench_$workload.err" \

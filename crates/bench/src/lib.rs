@@ -70,7 +70,7 @@ pub mod bench_support {
         fn networks_are_seed_deterministic() {
             let a = paper_network(9);
             let b = paper_network(9);
-            assert_eq!(a.layers[0].weights.as_slice(), b.layers[0].weights.as_slice());
+            assert_eq!(a.layers()[0].weights.as_slice(), b.layers()[0].weights.as_slice());
         }
     }
 }

@@ -90,7 +90,7 @@ fn per_sample_rngs(seed: u64, batch: usize) -> Vec<StdRng> {
 
 /// Dense MACs of one batched forward pass of `net` at `batch` samples.
 fn forward_dense_macs(net: &SdpNetwork, batch: usize) -> u64 {
-    net.layers
+    net.layers()
         .iter()
         .map(|l| gemm::dense_mac_count(l.in_dim(), l.out_dim(), 1))
         .fold(0u64, |acc, m| acc.saturating_add(m))
@@ -269,7 +269,7 @@ pub fn run_profile_workload(opts: &WorkloadOptions) -> ProfileReport {
     let mut rngs = per_sample_rngs(opts.seed, batch);
     net.forward_batch(&states, &mut rngs, &mut ws, &mut trace, &mut rec);
     let shapes: Vec<(usize, usize)> =
-        net.layers.iter().map(|l| (l.in_dim(), l.out_dim())).collect();
+        net.layers().iter().map(|l| (l.in_dim(), l.out_dim())).collect();
     let cost = CostReport::from_workload(
         &shapes,
         net.config().timesteps,

@@ -476,7 +476,7 @@ impl SdpTrainingSession<'_> {
         let mut layer_grad_norm_sums: Vec<f64> = Vec::new();
         let mut update_mag_sum = 0.0;
         let mut epoch_spikes = SpikeStats::default();
-        let mut epoch_layer_spikes: Vec<u64> = vec![0; agent.network.layers.len()];
+        let mut epoch_layer_spikes: Vec<u64> = vec![0; agent.network.depth()];
         for _step in 0..tc.steps_per_epoch {
             self.step_counter += 1;
             // Phase 1 (sequential): sample periods, read the PVM, build
@@ -650,7 +650,7 @@ impl SdpTrainingSession<'_> {
             // executed for this epoch's forwards vs the spike-driven synops
             // actually performed (counted in the forward pass).
             let dense_macs = net
-                .layers
+                .layers()
                 .iter()
                 .map(|l| spikefolio_tensor::gemm::dense_mac_count(l.in_dim(), l.out_dim(), 1))
                 .fold(0u64, |acc, m| acc.saturating_add(m))

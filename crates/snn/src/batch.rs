@@ -31,6 +31,13 @@
 //! [`crate::stbp::backward_batch`] allocate only O(B) decoder-sized
 //! vectors outside the per-step hot loop.
 //!
+//! A workspace depends only on the network's shape and the batch size,
+//! never on its weights, so one workspace serves any network of that
+//! shape. The transposed weights `Wᵀ` the drive streams belong to the
+//! network instead ([`SdpNetwork::transposed_weights`]): they are built
+//! once per weight version, on the first forward pass after the weights
+//! change, and shared by every caller and thread that runs that version.
+//!
 //! # Determinism contract
 //!
 //! * Sample `b` is encoded with `rngs[b]`, consuming exactly the random
@@ -157,7 +164,8 @@ impl BatchNetworkTrace {
     }
 }
 
-/// Per-layer preallocated buffers of a [`BatchWorkspace`].
+/// Per-layer preallocated buffers of a [`BatchWorkspace`]. All are sized
+/// by the layer's output width and the batch size; none holds weights.
 #[derive(Debug, Clone)]
 pub(crate) struct BatchLayerBufs {
     /// Synaptic currents `c`, `B × out`.
@@ -170,10 +178,6 @@ pub(crate) struct BatchLayerBufs {
     pub(crate) adapt: Matrix,
     /// Drive scratch `W·o_in` for one timestep, `B × out`.
     pub(crate) drive: Matrix,
-    /// Transposed weights `Wᵀ`, `in × out` — refreshed once per batched
-    /// forward call so the event-driven drive streams one contiguous
-    /// `out`-wide row per presynaptic event.
-    pub(crate) wt: Matrix,
     /// Backward scratch `δo(t)`, `B × out`.
     pub(crate) d_o: Matrix,
     /// Backward scratch `δv(t)`, `B × out`.
@@ -194,8 +198,9 @@ pub(crate) struct BatchLayerBufs {
 /// Preallocated scratch for batched forward/backward passes.
 ///
 /// Build once per `(network shape, batch size)` pair and reuse across
-/// steps: the hot loops of [`SdpNetwork::forward_batch`] and
-/// [`crate::stbp::backward_batch`] are then allocation-free.
+/// steps, and across networks of that shape: the hot loops of
+/// [`SdpNetwork::forward_batch`] and [`crate::stbp::backward_batch`] are
+/// then allocation-free.
 #[derive(Debug, Clone)]
 pub struct BatchWorkspace {
     pub(crate) batch: usize,
@@ -229,7 +234,6 @@ impl BatchWorkspace {
                     spikes: Matrix::zeros(batch, out),
                     adapt: Matrix::zeros(batch, out),
                     drive: Matrix::zeros(batch, out),
-                    wt: Matrix::zeros(l.in_dim(), out),
                     d_o: Matrix::zeros(batch, out),
                     d_v: Matrix::zeros(batch, out),
                     dv_next: Matrix::zeros(batch, out),
@@ -282,8 +286,10 @@ impl SdpNetwork {
     /// the result is independent of how samples are grouped into batches
     /// (see the [module docs](crate::batch)).
     ///
-    /// `ws` and `trace` must have been built for this network at batch size
-    /// `states.rows()`; both are fully overwritten.
+    /// `ws` and `trace` must have been built for a network of this shape at
+    /// batch size `states.rows()`; both are fully overwritten. The first
+    /// call after the weights change builds the network's `Wᵀ`
+    /// ([`SdpNetwork::transposed_weights`]); later calls reuse it.
     ///
     /// The encode section and the LIF timestep loop are timed as
     /// [`SPAN_PROFILE_SNN_ENCODE`] and [`SPAN_PROFILE_SNN_LIF`] spans on
@@ -341,15 +347,10 @@ impl SdpNetwork {
         for lt in &mut trace.layers {
             lt.output_set.clear();
         }
-        // The event-driven drive streams rows of Wᵀ; weights are constant
-        // over the simulation, so transpose once per call into the
-        // workspace (amortized over T·B drive rows).
+        // The event-driven drive streams rows of Wᵀ, which the network
+        // keeps per weight version (built here on first use).
         let dense = ws.dense;
-        if !dense {
-            for (lb, layer) in ws.layers.iter_mut().zip(&self.layers) {
-                layer.weights.transpose_into(&mut lb.wt);
-            }
-        }
+        let wts: &[Matrix] = if dense { &[] } else { self.transposed_weights() };
 
         let mut kernel_events = 0u64;
         let lif_watch = Stopwatch::start(rec);
@@ -394,7 +395,7 @@ impl SdpNetwork {
                         input_block,
                         input_set,
                         t * bsz,
-                        lb.wt.as_slice(),
+                        wts[k].as_slice(),
                         lb.drive.as_mut_slice(),
                         bsz,
                         in_dim,

@@ -10,6 +10,8 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 use spikefolio_telemetry::NoopRecorder;
 use spikefolio_tensor::Matrix;
+use std::fmt;
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 /// Configuration of an [`SdpNetwork`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -113,6 +115,75 @@ impl SpikeStats {
     }
 }
 
+/// Each LIF layer's transposed weights `Wᵀ` (`in × out`), built on the
+/// first forward pass after the weights last changed. The event-driven
+/// drive streams one contiguous `out`-wide row of `Wᵀ` per presynaptic
+/// event; since `Wᵀ` depends on the weights alone, it is computed once
+/// per weight version rather than once per forward call.
+///
+/// A cache, not part of the network's value: a clone starts empty, and
+/// equality and `Debug` ignore it. The weights change only through
+/// [`SdpNetwork`]'s `Params::buffers_mut`, which resets it.
+#[derive(Default)]
+pub(crate) struct TransposedWeights {
+    /// `Wᵀ` of the current weights, once built.
+    built: OnceLock<Vec<Matrix>>,
+    /// The previous version's buffers, which the next build writes into.
+    /// Training makes a new version every step; reusing the buffers
+    /// keeps those steps from freeing and re-faulting the pages.
+    spare: Mutex<Vec<Matrix>>,
+}
+
+impl TransposedWeights {
+    /// `Wᵀ` of every layer, built from `layers` on first use. Concurrent
+    /// first callers block until one of them has built it.
+    fn get(&self, layers: &[LifLayer]) -> &[Matrix] {
+        self.built.get_or_init(|| {
+            let spare =
+                std::mem::take(&mut *self.spare.lock().unwrap_or_else(PoisonError::into_inner));
+            let mut spare = spare.into_iter();
+            layers
+                .iter()
+                .map(|l| {
+                    let shape = (l.in_dim(), l.out_dim());
+                    let mut wt = spare
+                        .next()
+                        .filter(|wt| wt.shape() == shape)
+                        .unwrap_or_else(|| Matrix::zeros(shape.0, shape.1));
+                    l.weights.transpose_into(&mut wt);
+                    wt
+                })
+                .collect()
+        })
+    }
+
+    /// Invalidates the cached `Wᵀ`, keeping its buffers for the rebuild
+    /// on the next forward pass.
+    pub(crate) fn reset(&mut self) {
+        if let Some(wts) = self.built.take() {
+            *self.spare.get_mut().unwrap_or_else(PoisonError::into_inner) = wts;
+        }
+    }
+}
+
+impl Clone for TransposedWeights {
+    fn clone(&self) -> Self {
+        Self::default()
+    }
+}
+
+impl PartialEq for TransposedWeights {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl fmt::Debug for TransposedWeights {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("..")
+    }
+}
+
 /// The spiking deterministic policy network of Fig. 1.
 ///
 /// See the [crate docs](crate) for an end-to-end example.
@@ -120,11 +191,15 @@ impl SpikeStats {
 pub struct SdpNetwork {
     /// Population encoder (eqs. 2–4).
     pub encoder: PopulationEncoder,
-    /// LIF layers, hidden then output (`action_dim × pop_out` wide).
-    pub layers: Vec<LifLayer>,
+    /// LIF layers, hidden then output (`action_dim × pop_out` wide). Read
+    /// through [`SdpNetwork::layers`]; the weights change only through
+    /// the network's `Params` view, which keeps `wt` in step.
+    pub(crate) layers: Vec<LifLayer>,
     /// Rate decoder (eqs. 8–10).
     pub decoder: Decoder,
     config: SdpNetworkConfig,
+    /// `Wᵀ` of `layers`, built on demand.
+    pub(crate) wt: TransposedWeights,
 }
 
 impl SdpNetwork {
@@ -154,12 +229,28 @@ impl SdpNetwork {
             .collect();
         let decoder =
             Decoder::new_randomized(config.action_dim, config.pop_out, config.timesteps, rng);
-        Self { encoder, layers, decoder, config }
+        Self { encoder, layers, decoder, config, wt: TransposedWeights::default() }
     }
 
     /// Borrow the configuration.
     pub fn config(&self) -> &SdpNetworkConfig {
         &self.config
+    }
+
+    /// The LIF layers, hidden then output (`action_dim × pop_out` wide).
+    /// To change their weights, go through the network's `Params` view
+    /// (an optimizer step, `set_flat_params`, a checkpoint load).
+    pub fn layers(&self) -> &[LifLayer] {
+        &self.layers
+    }
+
+    /// Each LIF layer's transposed weights `Wᵀ` (`in × out`), as the
+    /// event-driven drive reads them. Built on the first call (or forward
+    /// pass) after the weights last changed and kept until they change
+    /// again, so calling this ahead of time moves the one-off transpose
+    /// off the first forward pass.
+    pub fn transposed_weights(&self) -> &[Matrix] {
+        self.wt.get(&self.layers)
     }
 
     /// Network depth `L` (number of LIF layers).

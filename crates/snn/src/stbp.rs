@@ -286,7 +286,12 @@ impl Params for SdpNetwork {
         self.layers.iter().flat_map(|l| [l.weights.as_slice(), &l.bias[..]]).chain(decoder)
     }
 
+    /// Resets the cached `Wᵀ`: every weight write (optimizer step,
+    /// `set_flat_params`, checkpoint load, rollback, fault injection)
+    /// passes through here, so the next forward pass transposes the new
+    /// weights.
     fn buffers_mut(&mut self) -> impl Iterator<Item = &mut [f64]> {
+        self.wt.reset();
         let decoder = [&mut self.decoder.weights[..], &mut self.decoder.bias[..]];
         self.layers
             .iter_mut()

@@ -361,9 +361,6 @@ impl Matrix {
 
     /// Writes the transpose of `self` into `out` without allocating.
     ///
-    /// Used by the event-driven forward path, which re-transposes the
-    /// weights into a reusable workspace buffer once per batched call.
-    ///
     /// # Panics
     ///
     /// Panics if `out` is not `cols × rows`.

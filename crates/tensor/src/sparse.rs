@@ -216,7 +216,8 @@ fn drive_tile<const W: usize>(
 /// Event-driven synaptic drive: `out[bsz × n] = vals[bsz × k] · wt[k × n]`
 /// where only the columns recorded in `set` (stack rows
 /// `row0..row0 + bsz`) are touched. `wt` is the **transposed** weight
-/// matrix (`in_dim × out_dim`), so each event streams one contiguous row.
+/// matrix (`in_dim × out_dim`), so each event streams one contiguous row;
+/// callers transpose once per weight version, not once per call.
 ///
 /// The result is bitwise identical to
 /// [`crate::gemm::gemm_nt`]`(vals, w, out, bsz, k, n)` with `w` the

@@ -240,3 +240,151 @@ fn checkpoint_roundtrip_preserves_batched_forward_bitwise() {
     // batched outputs must be bit-identical, not merely close.
     assert_eq!(original, reloaded);
 }
+
+// ---- The network's cached Wᵀ stays in step with its weights ----
+
+/// Full forward trace of `st` on `net` through `ws`, sample `b` encoded
+/// with seed `b`.
+fn trace_with(net: &SdpNetwork, st: &Matrix, ws: &mut BatchWorkspace) -> BatchNetworkTrace {
+    let batch = st.rows();
+    let mut trace = BatchNetworkTrace::new(net, batch);
+    let mut rngs: Vec<StdRng> = (0..batch).map(|b| StdRng::seed_from_u64(b as u64)).collect();
+    net.forward_batch(st, &mut rngs, ws, &mut trace, &mut NoopRecorder);
+    trace
+}
+
+fn trace_of(net: &SdpNetwork, st: &Matrix) -> BatchNetworkTrace {
+    trace_with(net, st, &mut BatchWorkspace::new(net, st.rows()))
+}
+
+/// A network that has never run a forward pass, holding `net`'s
+/// parameters: its `Wᵀ` can only come from those parameters.
+fn rebuilt(net: &SdpNetwork) -> SdpNetwork {
+    let mut fresh = SdpNetwork::new(net.config().clone(), &mut StdRng::seed_from_u64(0xfeed));
+    optim::set_flat_params(&mut fresh, &optim::flat_params(net));
+    fresh
+}
+
+/// `net`'s forward trace equals that of a freshly built copy, bitwise,
+/// and its cached `Wᵀ` is the transpose of its current weights.
+fn assert_coherent(net: &SdpNetwork, st: &Matrix, what: &str) {
+    assert_eq!(trace_of(net, st), trace_of(&rebuilt(net), st), "{what}: stale forward pass");
+    for (k, (wt, layer)) in net.transposed_weights().iter().zip(net.layers()).enumerate() {
+        assert_eq!(*wt, layer.weights.transposed(), "{what}: stale Wᵀ of layer {k}");
+    }
+}
+
+/// Layer voltages of a trace: they read the drive `W·o_in` directly, so
+/// any weight change that reaches an active synapse moves them.
+fn voltages(trace: &BatchNetworkTrace) -> Vec<Matrix> {
+    trace.layers.iter().map(|l| l.voltages.clone()).collect()
+}
+
+#[test]
+fn cached_transpose_follows_an_optimizer_step() {
+    let mut net = small_net(Encoding::Deterministic);
+    let batch = 4;
+    let st = states(batch, net.config().state_dim);
+    let before = trace_of(&net, &st); // builds the cache
+    let seeds: Vec<u64> = (0..batch as u64).collect();
+    let d_actions = Matrix::from_fn(batch, 3, |b, j| if (b + j) % 2 == 0 { 1.0 } else { -1.0 });
+    let (_, mut grads) = forward_backward(&net, &st, &seeds, &d_actions, 0.0);
+    let mut trainer = optim::ClippedAdam::new(&net, optim::Adam::new(0.05), None);
+    trainer.apply(&mut net, &mut grads);
+    assert_ne!(voltages(&trace_of(&net, &st)), voltages(&before), "the step must move the drive");
+    assert_coherent(&net, &st, "after ClippedAdam::apply");
+}
+
+#[test]
+fn cached_transpose_follows_set_flat_params() {
+    let mut net = small_net(Encoding::Deterministic);
+    let st = states(4, net.config().state_dim);
+    let before = trace_of(&net, &st);
+    let other = SdpNetwork::new(net.config().clone(), &mut StdRng::seed_from_u64(99));
+    optim::set_flat_params(&mut net, &optim::flat_params(&other));
+    assert_ne!(
+        voltages(&trace_of(&net, &st)),
+        voltages(&before),
+        "new weights must move the drive"
+    );
+    assert_coherent(&net, &st, "after set_flat_params");
+}
+
+#[test]
+fn cached_transpose_follows_a_checkpoint_load() {
+    let cfg = SdpConfig::smoke();
+    let mut agent = SdpAgent::new(&cfg, 3, cfg.seed);
+    let st = states(4, agent.network.config().state_dim);
+    let before = trace_of(&agent.network, &st);
+    let source = SdpAgent::new(&cfg, 3, cfg.seed ^ 0x5eed);
+    let path = tmp("coherent.ckpt");
+    checkpoint::save_sdp(&source, &path).unwrap();
+    checkpoint::load_sdp(&mut agent, &path).unwrap();
+    std::fs::remove_file(&path).ok();
+    let after = trace_of(&agent.network, &st);
+    assert_ne!(voltages(&after), voltages(&before), "the load must move the drive");
+    assert_eq!(after, trace_of(&source.network, &st), "loaded network must run the saved weights");
+    assert_coherent(&agent.network, &st, "after a checkpoint load");
+}
+
+#[test]
+fn mutating_a_clone_leaves_the_original_unchanged() {
+    let net = small_net(Encoding::Deterministic);
+    let st = states(4, net.config().state_dim);
+    let original = trace_of(&net, &st);
+    let mut copy = net.clone();
+    assert_eq!(copy, net, "a clone equals its source whatever either has cached");
+    let other = SdpNetwork::new(net.config().clone(), &mut StdRng::seed_from_u64(5));
+    optim::set_flat_params(&mut copy, &optim::flat_params(&other));
+    assert_ne!(trace_of(&copy, &st), original, "the clone must run its new weights");
+    assert_eq!(trace_of(&net, &st), original, "mutating a clone changed the original");
+    assert_coherent(&copy, &st, "mutated clone");
+    assert_coherent(&net, &st, "original");
+}
+
+#[test]
+fn one_workspace_serves_two_networks_of_the_same_shape() {
+    let a = small_net(Encoding::Deterministic);
+    let b = SdpNetwork::new(a.config().clone(), &mut StdRng::seed_from_u64(8));
+    let batch = 3;
+    let st = states(batch, a.config().state_dim);
+    let (want_a, want_b) = (trace_of(&a, &st), trace_of(&b, &st));
+    assert_ne!(want_a, want_b);
+    let mut ws = BatchWorkspace::new(&a, batch);
+    for round in 0..2 {
+        assert_eq!(trace_with(&a, &st, &mut ws), want_a, "round {round}: network a");
+        assert_eq!(trace_with(&b, &st, &mut ws), want_b, "round {round}: network b");
+    }
+}
+
+#[test]
+fn concurrent_first_forward_passes_agree_with_the_serial_one() {
+    // Two threads race to build the cache of a network that has never run
+    // (two training workers, or two serve workers, on a new weight
+    // version). A wide layer 0 keeps the build long enough to overlap.
+    let mut cfg = SdpNetworkConfig::small(40, 4);
+    cfg.hidden = vec![128, 64];
+    let template = SdpNetwork::new(cfg, &mut StdRng::seed_from_u64(13));
+    let batch = 2;
+    let st = states(batch, template.config().state_dim);
+    let serial = trace_of(&template.clone(), &st);
+    for attempt in 0..8 {
+        let net = template.clone();
+        let barrier = std::sync::Barrier::new(2);
+        let traces: Vec<BatchNetworkTrace> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(|| {
+                        let mut ws = BatchWorkspace::new(&net, batch);
+                        barrier.wait();
+                        trace_with(&net, &st, &mut ws)
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        for (w, trace) in traces.iter().enumerate() {
+            assert_eq!(*trace, serial, "attempt {attempt}, worker {w}");
+        }
+    }
+}

@@ -232,7 +232,7 @@ fn kernel_event_tally_matches_cost_model_synops() {
     // the cost model fed by per-layer spike counts.
     assert_eq!(trace.kernel_events, trace.stats.synops);
     let shapes: Vec<(usize, usize)> =
-        net.layers.iter().map(|l| (l.in_dim(), l.out_dim())).collect();
+        net.layers().iter().map(|l| (l.in_dim(), l.out_dim())).collect();
     let cost = CostReport::from_workload(
         &shapes,
         net.config().timesteps,
